@@ -103,8 +103,7 @@ BENCHMARK(BM_CacheArrayLookup);
 static void
 BM_MeshRouteLatency(benchmark::State &state)
 {
-    EventQueue eq;
-    Mesh m(eq, MeshParams{});
+    Mesh m(MeshParams{});
     Rng rng(5);
     for (auto _ : state) {
         const CoreId s = static_cast<CoreId>(rng.below(64));
@@ -120,10 +119,10 @@ BM_MeshSendContention(benchmark::State &state)
 {
     for (auto _ : state) {
         EventQueue eq;
-        Mesh m(eq, MeshParams{});
+        Mesh m(MeshParams{});
         Rng rng(6);
         for (int i = 0; i < 512; ++i) {
-            m.send(static_cast<CoreId>(rng.below(64)),
+            m.send(eq, static_cast<CoreId>(rng.below(64)),
                    static_cast<CoreId>(rng.below(64)),
                    TrafficClass::Read, dataPacketBytes, nullptr);
         }

@@ -82,9 +82,13 @@ main()
 
     // 1. Register the loop as a named workload.
     WorkloadRegistry reg;
-    reg.add("quickstart", [](std::uint32_t n, double) {
+    WorkloadSpec workload;
+    workload.name = "quickstart";
+    workload.factory = [](std::uint32_t n, double,
+                          const WorkloadParams &) {
         return quickstartProgram(n);
-    });
+    };
+    reg.add(std::move(workload));
 
     // 2. Peek at the compiler's Sec. 2.4 classification + Fig. 3
     //    tiling of the program.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: configure + build with warnings-as-errors, run the
-# full ctest suite, then smoke-test the spmcoh_run CLI (exercising
-# the thread-pool executor and JSON export on every push).
+# full ctest suite and the benchmark's own tests, then smoke-test the
+# spmcoh_run CLI (exercising the thread-pool executor and JSON export
+# on every push).
 # Usage: scripts/ci.sh [build-dir]
 set -euo pipefail
 
@@ -13,6 +14,13 @@ cmake -B "$BUILD_DIR" -S . \
     -DSPMCOH_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+echo "== benchmark build + tests (perfbench/run.py --test) =="
+# The benchmark drives the simulator through its public API
+# (System::events(), System::numRegions(), prepareProgram,
+# deriveRegionCuts, makeSources, snapshotStats); breaking one of
+# those must fail here, not in a later benchmark run.
+python3 perfbench/run.py --test
 
 echo "== spmcoh_run smoke test =="
 "$BUILD_DIR"/spmcoh_run --workload=CG --cores=8 --jobs=2 \
@@ -85,6 +93,14 @@ echo "== result regression check (gather 8-core vs golden) =="
     --format=json --no-stats > "$BUILD_DIR"/gather8.json
 python3 scripts/diff_results.py "$BUILD_DIR"/gather8.json \
     tests/golden/gather8_smoke.json
+
+echo "== full-stats golden (aliased gather 8-core, byte-identical) =="
+# The --no-stats goldens cannot see per-component counters that move
+# without changing timing; this one pins the whole stats block.
+"$BUILD_DIR"/spmcoh_run --workload=gather --cores=8 \
+    --wparam=aliased=1 --jobs=2 --format=json > "$BUILD_DIR"/gather8a.json
+cmp "$BUILD_DIR"/gather8a.json tests/golden/gather8a_stats.json || {
+    echo "aliased gather stats diverged from the golden"; exit 1; }
 
 echo "== result regression check (contend 8-core vs golden) =="
 "$BUILD_DIR"/spmcoh_run --workload=contend --cores=8 --jobs=2 \

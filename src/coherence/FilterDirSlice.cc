@@ -144,15 +144,13 @@ FilterDirSlice::broadcastProbe(const Message &msg, Addr base)
     // Account every probe and response packet; simulate the exchange
     // as one aggregate event at the worst-case probe arrival time.
     // The per-core probe counters live on other tiles' controllers,
-    // so a partitioned run bumps them inside the deferred evaluation
-    // (single-threaded at the epoch merge) instead of here.
+    // so they are bumped inside the deferred evaluation instead of
+    // here.
     for (CoreId c = 0; c < n; ++c) {
         if (c == msg.requestor)
             continue;
         net.accountOnly(tile, c, TrafficClass::CohProt, false);
         net.accountOnly(c, tile, TrafficClass::CohProt, false);
-        if (!net.partitioned())
-            fab.ctrls[c]->countProbe();
     }
     const Tick probe_arrive =
         net.noc().maxLatencyFrom(tile, ctrlPacketBytes) +
@@ -162,18 +160,15 @@ FilterDirSlice::broadcastProbe(const Message &msg, Addr base)
 
     Message *pm = net.msgPool().acquire(msg);
     // The evaluation walks every core's SPMDir CAM — cross-region
-    // state — so it goes through deferCross: a plain schedule when
-    // monolithic, a canonically-ordered merge operation when
-    // partitioned.
+    // state — so it goes through deferCross: a canonically-ordered
+    // merge operation (a plain schedule on a one-region machine).
     net.deferCross(net.events().now() + probe_arrive,
                             [this, pm, base,
                              resp_delay = responses_back - probe_arrive] {
         const Message &req = *pm;
-        if (net.partitioned()) {
-            for (CoreId c = 0; c < net.cores(); ++c) {
-                if (c != req.requestor)
-                    fab.ctrls[c]->countProbe();
-            }
+        for (CoreId c = 0; c < net.cores(); ++c) {
+            if (c != req.requestor)
+                fab.ctrls[c]->countProbe();
         }
         // Evaluate the SPMDir CAMs at probe-arrival time.
         CoreId owner = invalidCore;

@@ -33,28 +33,19 @@ namespace spmcoh
 class Barrier
 {
   public:
-    Barrier(EventQueue &eq_, std::uint32_t parties_,
-            Tick release_latency = 50)
-        : eq(eq_), parties(parties_), releaseLatency(release_latency)
+    explicit Barrier(std::uint32_t parties_, Tick release_latency = 50)
+        : parties(parties_), releaseLatency(release_latency)
     {
         if (parties_ == 0)
             fatal("Barrier: zero parties");
     }
 
-    /** Arrive; @p cb runs when the last party arrives. */
-    void
-    arrive(std::function<void()> cb)
-    {
-        arrive(eq, std::move(cb));
-    }
-
     /**
-     * Queue-aware arrival for the partitioned core: @p cb is
-     * released on @p q (the waiter's region queue). The release
-     * schedules one event per distinct queue, in first-appearance
-     * order, each running its queue's callbacks in arrival order —
-     * so a monolithic run (one queue) schedules exactly the
-     * historical single event, and a partitioned run wakes every
+     * Arrive; @p cb runs on @p q (the waiter's region queue) when the
+     * last party arrives. The release schedules one event per
+     * distinct queue, in first-appearance order, each running its
+     * queue's callbacks in arrival order — so a one-region run
+     * schedules a single event, and a partitioned run wakes every
      * region at the same release tick. Partitioned arrivals happen
      * at the single-threaded epoch merge, where every region queue
      * sits at the same horizon; scheduling relative to each queue's
@@ -107,7 +98,6 @@ class Barrier
         std::function<void()> cb;
     };
 
-    EventQueue &eq;
     std::uint32_t parties;
     Tick releaseLatency;
     std::vector<Waiter> waiting;

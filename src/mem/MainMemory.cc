@@ -86,7 +86,7 @@ MemCtrl::servePooled(const Message &msg, bool is_write)
     Message *pm = net.msgPool().acquire(resp);
     // The pool's next-free slot is shared by every controller on
     // every chip, so the reservation is routed through deferCross:
-    // monolithic runs execute it inline at the same tick, partitioned
+    // one-region runs execute it inline at the same tick, partitioned
     // runs at the single-threaded epoch merge in canonical order.
     const Tick at = eq.now();
     net.deferCross(at, [this, pm, dst, at, is_write] {

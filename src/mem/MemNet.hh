@@ -8,10 +8,11 @@
  * Tile placement: core i's L1/DMAC/Coh structures and the i-th L2
  * slice, directory slice and FilterDir slice all live on tile i.
  *
- * Partitioned mode (bindRegions): tiles are split into row bands,
- * each with its own EventQueue. events() resolves through
- * tlsExecRegion to the executing region's queue, so component code is
- * oblivious to the partitioning. Intra-region packets take the normal
+ * Regions (bindRegions): tiles are split into row bands, each with
+ * its own EventQueue; an unpartitioned machine is one region holding
+ * every tile. events() resolves through tlsExecRegion to the
+ * executing region's queue, so component code is oblivious to the
+ * partitioning. Intra-region packets take the normal
  * contention-modeled path on the region's own link state; cross-
  * region packets (and cross-region protocol operations registered via
  * deferCross) are buffered in per-region outboxes during an epoch
@@ -54,9 +55,9 @@ class MemNet
   public:
     using Handler = std::function<void(const Message &)>;
 
-    MemNet(EventQueue &eq_, Mesh &mesh_, std::uint32_t num_cores,
+    MemNet(Mesh &mesh_, std::uint32_t num_cores,
            std::vector<CoreId> mem_ctrl_tiles)
-        : eq(eq_), mesh(mesh_), numCores(num_cores),
+        : mesh(mesh_), numCores(num_cores),
           mcTiles(std::move(mem_ctrl_tiles))
     {
         for (auto &v : handlers)
@@ -138,34 +139,31 @@ class MemNet
         if (!h)
             panic("MemNet: no handler registered for endpoint");
         Handler *hp = &h;
-        if (regions.empty()) {
-            // Monolithic path. Park the message in a pooled slot so
-            // the delivery closure stays pointer-sized (inline in
-            // SmallFunction); the handler address is stable because
-            // handler vectors never resize after construction.
-            Message *pm = pool.acquire(msg);
-            if (!mesh.sameChip(src_tile, dst_tile))
-                return sendInterChip(src_tile, dst_tile, cls, bytes,
-                                     pm, hp);
-            return mesh.send(src_tile, dst_tile, cls, bytes,
-                             [this, hp, pm] {
-                                 (*hp)(*pm);
-                                 pool.release(pm);
-                             });
-        }
         if (inMerge)
             return deliverCross(hp, src_tile, dst_tile, msg, cls,
                                 bytes, mergeHorizon, true);
         const std::uint32_t sr = tileRegion[src_tile];
         if (sr == tileRegion[dst_tile]) {
-            // Both endpoints in one row band: XY route stays on the
-            // band's links, so the normal contended path is safe.
+            // Both endpoints in one region. Park the message in a
+            // pooled slot so the delivery closure stays pointer-sized
+            // (inline in SmallFunction); the handler address is
+            // stable because handler vectors never resize after
+            // construction.
             Message *pm = pools[sr]->acquire(msg);
-            return mesh.sendOn(regions[sr]->eq, src_tile, dst_tile,
-                               cls, bytes, [this, hp, pm] {
-                                   (*hp)(*pm);
-                                   msgPool().release(pm);
-                               });
+            EventQueue &q = regions[sr]->eq;
+            // Chip boundaries are region boundaries whenever the
+            // machine is cut, so only a one-region machine crosses
+            // chips here.
+            if (!mesh.sameChip(src_tile, dst_tile))
+                return sendInterChip(q, src_tile, dst_tile, cls, bytes,
+                                     pm, hp);
+            // One row band: the XY route stays on the band's links,
+            // so the normal contended path is safe.
+            return mesh.send(q, src_tile, dst_tile, cls, bytes,
+                             [this, hp, pm] {
+                                 (*hp)(*pm);
+                                 msgPool().release(pm);
+                             });
         }
         // Cross-region: attribute traffic to the sender now, buffer
         // the delivery for the epoch merge. Delivery tick is decided
@@ -179,15 +177,16 @@ class MemNet
     }
 
     /**
-     * Bind the fabric to a set of regions (partitioned mode). Tiles
-     * are mapped to regions by their [loTile, endTile) spans; per-
-     * region message pools and outboxes come up alongside.
+     * Bind the fabric to its regions (one region = the whole machine
+     * on one queue). Tiles are mapped to regions by their
+     * [loTile, endTile) spans; per-region message pools and outboxes
+     * come up alongside. Must precede any send.
      */
     void
     bindRegions(const std::vector<Region *> &regs)
     {
-        if (regs.size() < 2)
-            panic("MemNet: partitioning needs at least two regions");
+        if (regs.empty())
+            panic("MemNet: needs at least one region");
         regions = regs;
         const auto r_count = static_cast<std::uint32_t>(regs.size());
         tileRegion.assign(mesh.numTiles(), 0);
@@ -208,42 +207,42 @@ class MemNet
         mesh.setNumRegions(r_count);
     }
 
-    bool partitioned() const { return !regions.empty(); }
-
     std::uint32_t
     numRegions() const
     {
         return static_cast<std::uint32_t>(regions.size());
     }
 
-    /** Region owning @p tile (partitioned mode only). */
+    /** Region owning @p tile. */
     std::uint32_t regionOfTile(CoreId tile) const
     { return tileRegion[tile]; }
 
     /**
-     * Queue that executes @p tile's events: the tile's region queue,
-     * or the global queue when monolithic. Use this instead of
-     * events() for follow-ups scheduled on behalf of a specific tile
-     * from merge context (where tlsExecRegion is the merge thread's).
+     * Queue that executes @p tile's events: the tile's region queue.
+     * Use this instead of events() for follow-ups scheduled on behalf
+     * of a specific tile from merge context (where tlsExecRegion is
+     * the merge thread's).
      */
     EventQueue &
     queueFor(CoreId tile)
     {
-        return regions.empty() ? eq : regions[tileRegion[tile]]->eq;
+        return regions[tileRegion[tile]]->eq;
     }
 
     /**
-     * Register a protocol operation that reads or writes another
-     * region's state. Monolithic: plain schedule. Partitioned: the
-     * operation is buffered like a cross-region message and runs
-     * single-threaded at the first epoch merge whose horizon covers
-     * @p when, in canonical order.
+     * Register a protocol operation that may read or write another
+     * region's state. The operation is buffered like a cross-region
+     * message and runs single-threaded at the first epoch merge whose
+     * horizon covers @p when, in canonical order.
      */
     void
     deferCross(Tick when, EventQueue::Callback fn)
     {
-        if (regions.empty()) {
-            eq.schedule(when, std::move(fn));
+        if (regions.size() == 1) {
+            // One region owns all state and its window spans the
+            // whole run, so the operation is a plain schedule on its
+            // queue (a merge would only run it after the run ends).
+            regions[0]->eq.schedule(when, std::move(fn));
             return;
         }
         if (inMerge) {
@@ -379,31 +378,30 @@ class MemNet
     Mesh &noc() { return mesh; }
 
     /**
-     * The event queue driving the caller: the global queue when
-     * monolithic, otherwise the queue of the region the current
-     * thread is executing. Component code schedules follow-ups here
-     * without knowing whether the run is partitioned.
+     * The event queue driving the caller: the queue of the region
+     * the current thread is executing. Component code schedules
+     * follow-ups here without knowing whether the run is
+     * partitioned.
      */
     EventQueue &
     events()
     {
-        return regions.empty() ? eq : regions[tlsExecRegion]->eq;
+        return regions[tlsExecRegion]->eq;
     }
 
     std::uint32_t cores() const { return numCores; }
 
     /**
-     * In-flight Message pool for the executing region (the shared
-     * pool when monolithic). A message acquired from one region's
-     * pool may be released into another's after a cross-region
-     * delivery; that only migrates the slot's freelist membership —
-     * the backing chunks stay owned by their original pools, which
-     * live exactly as long as this fabric.
+     * In-flight Message pool for the executing region. A message
+     * acquired from one region's pool may be released into another's
+     * after a cross-region delivery; that only migrates the slot's
+     * freelist membership — the backing chunks stay owned by their
+     * original pools, which live exactly as long as this fabric.
      */
     MessagePool &
     msgPool()
     {
-        return regions.empty() ? pool : *pools[tlsExecRegion];
+        return *pools[tlsExecRegion];
     }
 
   private:
@@ -518,24 +516,26 @@ class MemNet
     }
 
     /**
-     * Monolithic cross-chip delivery: contended on-chip legs to and
-     * from the gateways around the shared link/hub reservations.
+     * Cross-chip delivery inside one region (the unpartitioned
+     * machine): contended on-chip legs to and from the gateways
+     * around the shared link/hub reservations, delivered on @p q.
      */
     Tick
-    sendInterChip(CoreId src, CoreId dst, TrafficClass cls,
-                  std::uint32_t bytes, Message *pm, Handler *hp)
+    sendInterChip(EventQueue &q, CoreId src, CoreId dst,
+                  TrafficClass cls, std::uint32_t bytes, Message *pm,
+                  Handler *hp)
     {
         const std::uint32_t sc = mesh.chipOf(src);
         const std::uint32_t dc = mesh.chipOf(dst);
-        const Tick sent = eq.now();
+        const Tick sent = q.now();
         Tick t = mesh.reserveLeg(sent, src, mesh.gatewayOf(sc), bytes);
         t = crossChipTransit(t, *pm, sc, dc, sent, bytes);
         t = mesh.reserveLeg(t, mesh.gatewayOf(dc), dst, bytes);
         t = mesh.finishDelivery(src, dst, t, bytes);
         mesh.account(src, dst, cls, bytes);
-        eq.schedule(t, [this, hp, pm] {
+        q.schedule(t, [this, hp, pm] {
             (*hp)(*pm);
-            pool.release(pm);
+            msgPool().release(pm);
         });
         return t;
     }
@@ -570,16 +570,13 @@ class MemNet
      *  than any possible hop count. */
     static constexpr std::uint32_t crossChipPenalty = 1u << 20;
 
-    EventQueue &eq;
     Mesh &mesh;
     std::uint32_t numCores;
     std::vector<CoreId> mcTiles;
     HomeAgent *agent = nullptr;
     std::array<std::vector<Handler>, 6> handlers;
     std::vector<Handler> mcHandlers;
-    MessagePool pool;
 
-    // --- partitioned mode (all empty/false when monolithic) ---
     std::vector<Region *> regions;
     std::vector<std::uint32_t> tileRegion;
     std::vector<std::unique_ptr<MessagePool>> pools;

@@ -65,8 +65,8 @@ struct MeshParams
 class Mesh
 {
   public:
-    Mesh(EventQueue &eq_, const MeshParams &p_)
-        : eq(eq_), p(p_),
+    explicit Mesh(const MeshParams &p_)
+        : p(p_),
           linkNextFree(static_cast<std::size_t>(p_.width) * p_.height *
                            (p_.chips ? p_.chips : 1) * 4,
                        0),
@@ -143,28 +143,18 @@ class Mesh
     }
 
     /**
-     * Send a packet now; schedules @p onArrive at the delivery tick.
-     * Local (src == dst) messages still pay one router traversal.
+     * Send a packet at @p q's current time; reserves link slots along
+     * the XY route and schedules @p onArrive into @p q at the
+     * delivery tick. Local (src == dst) messages still pay one router
+     * traversal. @p q is the sending region's queue: both endpoints
+     * of a routed packet sit in one row band, so the route touches
+     * only that band's links and the link state stays
+     * region-confined.
      * @return the delivery tick.
      */
     Tick
-    send(CoreId src, CoreId dst, TrafficClass cls, std::uint32_t bytes,
-         EventQueue::Callback onArrive)
-    {
-        return sendOn(eq, src, dst, cls, bytes, std::move(onArrive));
-    }
-
-    /**
-     * Region-aware send: reserve from @p q's current time and
-     * schedule the delivery into @p q. The partitioned fabric uses
-     * this for intra-region packets — both endpoints sit in one row
-     * band, so the XY route touches only that band's links and the
-     * link state stays region-confined. The monolithic send() is the
-     * q == global-queue special case.
-     */
-    Tick
-    sendOn(EventQueue &q, CoreId src, CoreId dst, TrafficClass cls,
-           std::uint32_t bytes, EventQueue::Callback onArrive)
+    send(EventQueue &q, CoreId src, CoreId dst, TrafficClass cls,
+         std::uint32_t bytes, EventQueue::Callback onArrive)
     {
         const Tick arrive = reserveFrom(q.now(), src, dst, bytes);
         account(src, dst, cls, bytes);
@@ -184,11 +174,9 @@ class Mesh
     account(CoreId src, CoreId dst, TrafficClass cls,
             std::uint32_t bytes)
     {
-        TrafficCounters &c = regional.empty()
-            ? counters : regional[tlsExecRegion];
-        c.add(cls, 1, bytes,
-              static_cast<std::uint64_t>(flits(bytes)) *
-              hops(src, dst));
+        regional[tlsExecRegion].add(
+            cls, 1, bytes,
+            static_cast<std::uint64_t>(flits(bytes)) * hops(src, dst));
     }
 
     /**
@@ -265,29 +253,26 @@ class Mesh
         return worst;
     }
 
-    const TrafficCounters &traffic() const { return counters; }
-    void resetTraffic() { counters = TrafficCounters{}; }
+    /** Traffic so far, summed over the per-region counter sets
+     *  (sums are commutative, so the total is independent of worker
+     *  count and interleaving). */
+    TrafficCounters
+    traffic() const
+    {
+        TrafficCounters t;
+        for (const TrafficCounters &c : regional)
+            t.merge(c);
+        return t;
+    }
 
     /**
-     * Partitioned-mode setup: give every region (plus the merge
-     * thread, which attributes as region 0) its own traffic counter
-     * set. Sums are commutative, so after foldRegionalTraffic() the
-     * totals are independent of worker count and interleaving.
+     * Give every region its own traffic counter set; the epoch merge
+     * thread attributes as region 0. A mesh starts with one set.
      */
     void
     setNumRegions(std::uint32_t r)
     {
         regional.assign(r, TrafficCounters{});
-    }
-
-    /** Fold per-region counters into the main set after a run. */
-    void
-    foldRegionalTraffic()
-    {
-        for (TrafficCounters &c : regional) {
-            counters.merge(c);
-            c = TrafficCounters{};
-        }
     }
 
     /**
@@ -425,15 +410,14 @@ class Mesh
         return orderedDelivery(src, dst, t);
     }
 
-    EventQueue &eq;
     MeshParams p;
     std::vector<Tick> linkNextFree;
     std::vector<Tick> lastDelivery;
     /** One link per chip, chip-indexed (empty when chips == 1). */
     std::vector<std::unique_ptr<InterChipLink>> icLinks;
-    TrafficCounters counters;
-    /** Per-region counter sets (empty = monolithic). */
-    std::vector<TrafficCounters> regional;
+    /** Traffic counter set per region, indexed by tlsExecRegion. */
+    std::vector<TrafficCounters> regional =
+        std::vector<TrafficCounters>(1);
 };
 
 } // namespace spmcoh

@@ -4,10 +4,10 @@
  *
  * Three machines are registered:
  *
- *  - MOESI with owner-forwarding (under both "spm-hybrid", the
- *    default that the paper's hybrid system runs on, and the alias
- *    "moesi"): a dirty owner answering a GetS keeps the line in O,
- *    so producer/consumer sharing never touches the L2 slice.
+ *  - MOESI with owner-forwarding ("spm-hybrid", the default that
+ *    the paper's hybrid system runs on): a dirty owner answering a
+ *    GetS keeps the line in O, so producer/consumer sharing never
+ *    touches the L2 slice.
  *  - Plain MESI ("mesi"): no Owned state. A dirty owner answering a
  *    GetS downgrades to S and the directory absorbs the dirty line
  *    into its L2 slice, trading L1-to-L1 forwarding for extra L2 /
@@ -153,10 +153,6 @@ ProtocolFactory::global()
             defaultName(),
             "MOESI directory with owner-forwarding; the paper's "
             "hybrid machine (default)"));
-        g.add(std::make_unique<MoesiProtocol>(
-            "moesi",
-            "MOESI directory with owner-forwarding (alias of "
-            "spm-hybrid)"));
         g.add(std::make_unique<MesiProtocol>(
             "mesi",
             "plain MESI: dirty owner-forwards downgrade to S and "

@@ -42,11 +42,12 @@ namespace spmcoh
 {
 
 /**
- * The global discrete event queue.
+ * A discrete event queue.
  *
- * All simulated components schedule closures on one EventQueue owned
- * by the System. Time only moves forward: scheduling in the past is a
- * panic (simulator bug).
+ * Every Region of a System owns one; simulated components schedule
+ * closures on the queue of the region that owns their tile. Time
+ * only moves forward: scheduling in the past is a panic (simulator
+ * bug).
  */
 class EventQueue
 {

@@ -2,8 +2,12 @@
  * @file
  * Region: the unit of deterministic intra-run parallelism.
  *
- * A partitioned System binds each contiguous band of mesh rows (a
- * region) to its own EventQueue. During an epoch every region
+ * Every System runs over at least one region. An unpartitioned
+ * machine (--sim-threads=0, HybridIdeal, or a mesh too small to cut)
+ * is region 0: one EventQueue whose epoch window spans the whole
+ * run, i.e. the classic monolithic event loop. A partitioned System
+ * binds each contiguous band of mesh rows (a region) to its own
+ * EventQueue. During an epoch every region
  * executes its queue up to a shared horizon on its own thread;
  * cross-region traffic is buffered in per-region outboxes, priced at
  * the epoch barrier in a canonical (tick, src-region, seq) order,
@@ -37,9 +41,9 @@ namespace spmcoh
 {
 
 /**
- * Region the current thread is executing (0 when monolithic or
- * merging). Only the partitioned run loop writes it; everything else
- * reads it to pick region-confined resources.
+ * Region the current thread is executing (0 for a one-region machine
+ * and during the epoch merge). Only the run loop writes it;
+ * everything else reads it to pick region-confined resources.
  */
 extern thread_local std::uint32_t tlsExecRegion;
 

@@ -37,7 +37,7 @@ constexpr std::uint32_t defaultMaxRegions = 16;
 /**
  * Interior cut tile indices for up to @p target_regions even row
  * bands of a @p width x @p height mesh. Fewer than two feasible
- * bands yields an empty result (run monolithic). On a multi-chip
+ * bands yields an empty result (run as one region). On a multi-chip
  * fabric (@p chips > 1, chips stacked in tile-id space) every chip
  * boundary is a mandatory cut — a region may never straddle two
  * chips — and the remaining budget splits evenly inside each chip.

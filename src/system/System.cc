@@ -15,7 +15,7 @@ namespace spmcoh
 {
 
 System::System(const SystemParams &p_)
-    : p(p_), eq(), noc(eq, p_.mesh),
+    : p(p_), noc(p_.mesh),
       amap(p_.numCores, p_.spmBytes)
 {
     const std::uint64_t tiles =
@@ -48,13 +48,13 @@ System::System(const SystemParams &p_)
         p.mc.serviceDenom *= p.numCores;
     }
 
-    net = std::make_unique<MemNet>(eq, noc, p.numCores, p.mcTiles);
+    net = std::make_unique<MemNet>(noc, p.numCores, p.mcTiles);
 
-    // Partitioned core setup. HybridIdeal stays monolithic: its
-    // oracle resolves same-window read-after-write against live
-    // remote mappings, which no deterministic cross-region merge
-    // order can reproduce (see docs/architecture.md).
-    std::uint32_t sim_threads =
+    // Region setup. HybridIdeal runs as one region: its oracle
+    // resolves same-window read-after-write against live remote
+    // mappings, which no deterministic cross-region merge order can
+    // reproduce (see docs/architecture.md).
+    const std::uint32_t sim_threads =
         p.mode == SystemMode::HybridIdeal ? 0 : p.simThreads;
     if (p.simWindowTicks == 0)
         fatal("System: simWindowTicks must be >= 1");
@@ -64,8 +64,9 @@ System::System(const SystemParams &p_)
               std::to_string(p.simWindowMaxTicks) +
               ") is below simWindowTicks (" +
               std::to_string(p.simWindowTicks) + ")");
+    std::vector<std::uint32_t> cuts;
     if (sim_threads > 0) {
-        std::vector<std::uint32_t> cuts = p.regionCuts;
+        cuts = p.regionCuts;
         if (cuts.empty())
             cuts = evenRegionCuts(p.mesh.width, p.mesh.height,
                                   defaultMaxRegions, p.mesh.chips);
@@ -89,25 +90,22 @@ System::System(const SystemParams &p_)
                       "the region cut at chip boundary tile " +
                       std::to_string(boundary));
         }
-        if (!cuts.empty()) {
-            std::uint32_t lo = 0, idx = 0;
-            for (std::uint32_t c : cuts) {
-                regions.push_back(
-                    std::make_unique<Region>(idx++, lo, c));
-                lo = c;
-            }
-            regions.push_back(std::make_unique<Region>(
-                idx, lo, static_cast<std::uint32_t>(tiles)));
-            std::vector<Region *> ptrs;
-            for (auto &r : regions)
-                ptrs.push_back(r.get());
-            net->bindRegions(ptrs);
-        }
     }
-    effThreads = regions.empty()
-        ? 0
-        : std::min<std::uint32_t>(
-              sim_threads, static_cast<std::uint32_t>(regions.size()));
+    // No cuts (st0, HybridIdeal, or a mesh too small to cut): the
+    // whole machine is region 0.
+    std::uint32_t lo = 0;
+    std::vector<Region *> ptrs;
+    for (std::size_t r = 0; r <= cuts.size(); ++r) {
+        const std::uint32_t end = r < cuts.size()
+            ? cuts[r] : static_cast<std::uint32_t>(tiles);
+        regions.push_back(std::make_unique<Region>(
+            static_cast<std::uint32_t>(r), lo, end));
+        ptrs.push_back(regions.back().get());
+        lo = end;
+    }
+    net->bindRegions(ptrs);
+    effThreads = std::clamp<std::uint32_t>(
+        sim_threads, 1, static_cast<std::uint32_t>(regions.size()));
 
     // Fatal here (with the known-protocol list) rather than deep in
     // a controller when the name is mistyped.
@@ -200,10 +198,6 @@ System::System(const SystemParams &p_)
             "core" + std::to_string(i)));
         cores.back()->setBarrierHook(
             [this, i](const MicroOp &op, std::function<void()> cb) {
-                if (regions.empty()) {
-                    barrierFor(op).arrive(std::move(cb));
-                    return;
-                }
                 // Barrier state is shared across regions, so the
                 // arrival is a cross-region operation: it runs at
                 // the epoch merge in canonical order, and the
@@ -216,19 +210,6 @@ System::System(const SystemParams &p_)
                     });
             });
     }
-}
-
-Barrier &
-System::barrier(std::uint32_t id)
-{
-    auto it = barriers.find(id);
-    if (it == barriers.end()) {
-        it = barriers
-                 .emplace(id, std::make_unique<Barrier>(
-                                  eq, p.numCores, p.barrierLatency))
-                 .first;
-    }
-    return *it->second;
 }
 
 Barrier &
@@ -273,7 +254,7 @@ System::barrierFor(const MicroOp &op)
     }
     it = barriers
              .emplace(op.count,
-                      std::make_unique<Barrier>(eq, parties, lat))
+                      std::make_unique<Barrier>(parties, lat))
              .first;
     return *it->second;
 }
@@ -284,22 +265,7 @@ System::run(std::vector<std::unique_ptr<OpSource>> sources)
     if (sources.size() != p.numCores)
         fatal("System: need one op source per core");
     running = std::move(sources);
-    if (!regions.empty())
-        return runPartitioned();
-    for (CoreId i = 0; i < p.numCores; ++i)
-        cores[i]->start(running[i].get());
-    const bool drained = eq.run(p.maxTicks);
-    if (!drained)
-        return false;
-    for (CoreId i = 0; i < p.numCores; ++i)
-        if (!cores[i]->finished())
-            return false;
-    return true;
-}
 
-bool
-System::runPartitioned()
-{
     // Seed each core's first event into its own region queue.
     for (CoreId i = 0; i < p.numCores; ++i) {
         tlsExecRegion = net->regionOfTile(i);
@@ -308,8 +274,7 @@ System::runPartitioned()
     tlsExecRegion = 0;
 
     const auto r_count = static_cast<std::uint32_t>(regions.size());
-    const std::uint32_t t_count = std::max<std::uint32_t>(
-        1, std::min(effThreads, r_count));
+    const std::uint32_t t_count = effThreads;
 
     // Epoch window width. Fixed at simWindowTicks unless adaptive
     // (simWindowMaxTicks > 0): then it doubles after every quiet
@@ -322,6 +287,11 @@ System::runPartitioned()
     const Tick max_window =
         p.simWindowMaxTicks ? p.simWindowMaxTicks : base_window;
     Tick window = base_window;
+    // One region has nothing to merge, so its window spans the whole
+    // run: a single pass of the monolithic event loop up to the
+    // deadlock guard, with no per-epoch cost.
+    const Tick run_end =
+        p.maxTicks < maxTick ? p.maxTicks + 1 : maxTick;
 
     // Epoch observability, folded into epochStats after the loop.
     std::uint64_t windows = 0, width_sum = 0, width_max = 0;
@@ -345,7 +315,9 @@ System::runPartitioned()
     // active region drains its inbox and runs to the horizon —
     // events exactly at it wait for the next epoch — then the
     // single-threaded merge prices cross-region traffic in canonical
-    // order into per-destination inboxes.
+    // order into per-destination inboxes. The run fails (deadlock
+    // guard) when the earliest pending work lies past maxTicks.
+    bool guard_tripped = false;
     auto nextHorizon = [&](Tick &horizon) {
         Tick nmin = net->crossPendingTick();
         for (std::uint32_t r = 0; r < r_count; ++r) {
@@ -354,7 +326,12 @@ System::runPartitioned()
         }
         if (nmin == maxTick)
             return false;  // drained
-        horizon = nmin + window;
+        if (nmin > p.maxTicks) {
+            guard_tripped = true;
+            return false;
+        }
+        // One region: its window spans the whole run (run_end).
+        horizon = r_count == 1 ? run_end : nmin + window;
         for (std::uint32_t r = 0; r < r_count; ++r) {
             active[r] = net->inboxTick(r) < horizon ||
                         regions[r]->eq.nextTick() < horizon;
@@ -370,15 +347,6 @@ System::runPartitioned()
         width_sum += window;
         width_max = std::max<std::uint64_t>(width_max, window);
         return true;
-    };
-
-    auto runRegion = [&](std::uint32_t idx, Tick horizon) {
-        if (!active[idx])
-            return;
-        net->drainInbox(idx);
-        tlsExecRegion = idx;
-        regions[idx]->eq.runUntil(horizon);
-        tlsExecRegion = 0;
     };
 
     // Merge, then adapt the window off what the merge saw.
@@ -398,82 +366,66 @@ System::runPartitioned()
         window = next_window;
     };
 
-    bool guard_tripped = false;
+    // Persistent workers, static round-robin region assignment
+    // (worker w drives regions w, w + T, ...; worker 0 is this
+    // thread, so one thread spawns no workers). Spin barriers
+    // bracket each window: epochs are a handful of simulated ticks,
+    // so parking in the kernel every window would dominate the run.
+    SpinBarrier start_gate(t_count);
+    SpinBarrier done_gate(t_count);
+    Tick horizon = 0;
+    bool stop = false;
+    std::vector<std::exception_ptr> errors(r_count);
 
-    if (t_count == 1) {
-        Tick horizon = 0;
-        while (nextHorizon(horizon)) {
-            if (horizon > p.maxTicks + window) {
-                guard_tripped = true;
-                break;
+    auto windowFor = [&](std::uint32_t w) {
+        for (std::uint32_t r = w; r < r_count; r += t_count) {
+            if (!active[r])
+                continue;
+            try {
+                net->drainInbox(r);
+                tlsExecRegion = r;
+                regions[r]->eq.runUntil(horizon);
+            } catch (...) {
+                errors[r] = std::current_exception();
             }
-            for (std::uint32_t r = 0; r < r_count; ++r)
-                runRegion(r, horizon);
-            mergeAndAdapt(horizon);
+            tlsExecRegion = 0;
         }
-    } else {
-        // Persistent workers, static round-robin region assignment
-        // (worker w drives regions w, w + T, ...; worker 0 is this
-        // thread). Spin barriers bracket each window: epochs are a
-        // handful of simulated ticks, so parking in the kernel every
-        // window would dominate the run.
-        SpinBarrier start_gate(t_count);
-        SpinBarrier done_gate(t_count);
-        Tick horizon = 0;
-        bool stop = false;
-        std::vector<std::exception_ptr> errors(r_count);
+    };
 
-        auto windowFor = [&](std::uint32_t w) {
-            for (std::uint32_t r = w; r < r_count; r += t_count) {
-                try {
-                    runRegion(r, horizon);
-                } catch (...) {
-                    errors[r] = std::current_exception();
-                    tlsExecRegion = 0;
-                }
+    std::vector<std::thread> workers;
+    for (std::uint32_t w = 1; w < t_count; ++w) {
+        workers.emplace_back([&, w] {
+            for (;;) {
+                start_gate.wait();
+                if (stop)
+                    return;
+                windowFor(w);
+                done_gate.wait();
             }
-        };
-
-        std::vector<std::thread> workers;
-        for (std::uint32_t w = 1; w < t_count; ++w) {
-            workers.emplace_back([&, w] {
-                for (;;) {
-                    start_gate.wait();
-                    if (stop)
-                        return;
-                    windowFor(w);
-                    done_gate.wait();
-                }
-            });
-        }
-
-        while (nextHorizon(horizon)) {
-            if (horizon > p.maxTicks + window) {
-                guard_tripped = true;
-                break;
-            }
-            start_gate.wait();
-            windowFor(0);
-            done_gate.wait();
-            bool failed = false;
-            for (const auto &e : errors)
-                failed = failed || static_cast<bool>(e);
-            if (failed)
-                break;
-            mergeAndAdapt(horizon);
-        }
-        stop = true;
-        start_gate.wait();
-        for (std::thread &t : workers)
-            t.join();
-        // Rethrow the lowest region's failure (a deterministic
-        // choice) once the workers are parked.
-        for (const auto &e : errors)
-            if (e)
-                std::rethrow_exception(e);
+        });
     }
 
-    noc.foldRegionalTraffic();
+    while (nextHorizon(horizon)) {
+        start_gate.wait();
+        windowFor(0);
+        done_gate.wait();
+        bool failed = false;
+        for (const auto &e : errors)
+            failed = failed || static_cast<bool>(e);
+        if (failed)
+            break;
+        mergeAndAdapt(horizon);
+    }
+    stop = true;
+    start_gate.wait();
+    for (std::thread &t : workers)
+        t.join();
+    // Rethrow the lowest region's failure (a deterministic choice)
+    // once the workers are parked.
+    for (const auto &e : errors)
+        if (e)
+            std::rethrow_exception(e);
+
     epochStats.counter("windows") += windows;
     epochStats.counter("windowTicks") += width_sum;
     epochStats.counter("windowMax") += width_max;
@@ -512,9 +464,9 @@ System::visitStats(StatVisitor &v) const
             noc.interChipLink(c).statGroup().accept(v);
     if (farMem)
         farMem->statGroup().accept(v);
-    // Partitioned runs only: the epoch loop's window/merge/skip
-    // counters (empty — and omitted — for monolithic runs).
-    if (!regions.empty())
+    // Partitioned runs only: a one-region run makes a single pass
+    // with nothing to merge, so it leaves the epochs group out.
+    if (regions.size() > 1)
         epochStats.accept(v);
 }
 

@@ -89,21 +89,24 @@ struct SystemParams
      */
     Tick farMemLatency = 0;
     std::uint32_t farMemBytesPerCycle = 8;
-    /** Deadlock guard for event-loop runs. */
+    /** Deadlock guard: run() fails when the earliest pending work
+     *  lies past this tick. */
     Tick maxTicks = std::uint64_t(4) << 32;
     EnergyParams energy{};
 
     /**
      * Intra-run worker threads for the partitioned simulation core.
-     * 0 (the default) runs the exact legacy monolithic event loop.
-     * N >= 1 partitions the mesh into row-band regions, each with
-     * its own event queue, synchronized at epoch boundaries; the
-     * region structure depends only on the topology (and regionCuts),
-     * never on N, so any N >= 1 produces byte-identical results —
-     * N only caps how many regions execute concurrently.
-     * HybridIdeal mode always runs monolithic (its oracle has
-     * same-window read-after-write semantics that cannot be ordered
-     * deterministically across regions); the knob is ignored there.
+     * 0 (the default) runs the whole machine as one region: one
+     * event queue whose epoch window spans the run — the classic
+     * monolithic event loop. N >= 1 partitions the mesh into
+     * row-band regions, each with its own event queue, synchronized
+     * at epoch boundaries; the region structure depends only on the
+     * topology (and regionCuts), never on N, so any N >= 1 produces
+     * byte-identical results — N only caps how many regions execute
+     * concurrently. HybridIdeal mode always runs as one region (its
+     * oracle has same-window read-after-write semantics that cannot
+     * be ordered deterministically across regions); the knob is
+     * ignored there.
      */
     std::uint32_t simThreads = 0;
     /**
@@ -193,7 +196,9 @@ class System
   public:
     explicit System(const SystemParams &p_);
 
-    EventQueue &events() { return eq; }
+    /** Region 0's queue: the whole machine's queue when it runs as
+     *  one region (its executed() is the monolithic event count). */
+    EventQueue &events() { return regions[0]->eq; }
     Mesh &mesh() { return noc; }
     MemNet &memNet() { return *net; }
     MainMemory &memory() { return mem; }
@@ -210,9 +215,6 @@ class System
     DirectorySlice &dirAt(CoreId i) { return *dirs[i]; }
     FilterDirSlice &filterDirAt(CoreId i) { return *fslices[i]; }
     CoreModel &coreAt(CoreId i) { return *cores[i]; }
-
-    /** Barrier registry: all-cores legacy barrier for @p id. */
-    Barrier &barrier(std::uint32_t id);
 
     /**
      * Barrier registry used by the cores' barrier hook: the scoped
@@ -231,12 +233,17 @@ class System
      */
     bool run(std::vector<std::unique_ptr<OpSource>> sources);
 
-    /** Regions the machine was partitioned into (0 = monolithic). */
-    std::uint32_t numRegions() const
-    { return static_cast<std::uint32_t>(regions.size()); }
-
-    /** Worker threads the partitioned run loop will use. */
-    std::uint32_t effectiveSimThreads() const { return effThreads; }
+    /**
+     * Regions the machine was partitioned into. A one-region machine
+     * reports 0: callers read 0 as "not partitioned", the monolithic
+     * event loop.
+     */
+    std::uint32_t
+    numRegions() const
+    {
+        return regions.size() > 1
+            ? static_cast<std::uint32_t>(regions.size()) : 0;
+    }
 
     /** Collect counters/energy/traffic after a run. */
     RunResults results() const;
@@ -250,11 +257,7 @@ class System
     void visitStats(StatVisitor &v) const;
 
   private:
-    /** Epoch loop for the partitioned core (simThreads >= 1). */
-    bool runPartitioned();
-
     SystemParams p;
-    EventQueue eq;
     Mesh noc;
     AddressMap amap;
     MainMemory mem;
@@ -263,9 +266,11 @@ class System
     /** Hub home agent + far-memory pool (multi-chip fabrics only). */
     std::unique_ptr<HomeAgent> hagent;
     std::unique_ptr<PooledMemory> farMem;
-    /** Row-band partitions (empty = monolithic run loop). */
+    /** Row-band partitions; one region covers the whole machine
+     *  when it is not cut. */
     std::vector<std::unique_ptr<Region>> regions;
-    std::uint32_t effThreads = 0;
+    /** Worker threads the run loop uses (>= 1, <= regions). */
+    std::uint32_t effThreads = 1;
     /** Epoch-loop observability (partitioned runs only): windows
      *  run, window-width sum/max, adaptive transitions, merge
      *  entries, skipped region-windows. Filled once after the run

@@ -60,11 +60,18 @@ TEST(WorkloadRegistry, UnknownNameListsKnownWorkloads)
 TEST(WorkloadRegistry, RejectsDuplicatesAndEmptyNames)
 {
     WorkloadRegistry reg;
-    auto factory = [](std::uint32_t, double) { return ProgramDecl{}; };
-    reg.add("w", factory);
-    EXPECT_THROW(reg.add("w", factory), FatalError);
-    EXPECT_THROW(reg.add("", factory), FatalError);
-    EXPECT_THROW(reg.add("null", nullptr), FatalError);
+    WorkloadSpec s;
+    s.name = "w";
+    s.factory = [](std::uint32_t, double, const WorkloadParams &) {
+        return ProgramDecl{};
+    };
+    reg.add(s);
+    EXPECT_THROW(reg.add(s), FatalError);
+    s.name = "";
+    EXPECT_THROW(reg.add(s), FatalError);
+    s.name = "null";
+    s.factory = nullptr;
+    EXPECT_THROW(reg.add(s), FatalError);
 }
 
 // ----------------------------------------------------------- builder

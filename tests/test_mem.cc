@@ -177,7 +177,8 @@ TEST(LineData, SubWordAccess)
  */
 struct MiniFabric
 {
-    EventQueue eq;
+    Region region;
+    EventQueue &eq = region.eq;
     Mesh mesh;
     MainMemory mem;
     std::unique_ptr<MemNet> net;
@@ -186,10 +187,12 @@ struct MiniFabric
     std::vector<std::unique_ptr<L1Cache>> l1s;
 
     explicit MiniFabric(std::uint32_t cores = 2)
-        : mesh(eq, MeshParams{.width = cores, .height = 1})
+        : region(0, 0, cores),
+          mesh(MeshParams{.width = cores, .height = 1})
     {
-        net = std::make_unique<MemNet>(eq, mesh, cores,
+        net = std::make_unique<MemNet>(mesh, cores,
                                        std::vector<CoreId>{0});
+        net->bindRegions({&region});
         mcs.push_back(std::make_unique<MemCtrl>(
             eq, *net, mem, 0, 0, MemCtrlParams{}));
         MemCtrl *mc = mcs.back().get();

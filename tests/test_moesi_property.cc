@@ -27,7 +27,8 @@ namespace
 struct Fabric4
 {
     static constexpr std::uint32_t cores = 4;
-    EventQueue eq;
+    Region region;
+    EventQueue &eq = region.eq;
     Mesh mesh;
     MainMemory mem;
     std::unique_ptr<MemNet> net;
@@ -39,10 +40,12 @@ struct Fabric4
                      const L1Params &lp = L1Params{},
                      const CoherenceProtocol &proto =
                          ProtocolFactory::defaultProtocol())
-        : mesh(eq, MeshParams{.width = 2, .height = 2})
+        : region(0, 0, cores),
+          mesh(MeshParams{.width = 2, .height = 2})
     {
-        net = std::make_unique<MemNet>(eq, mesh, cores,
+        net = std::make_unique<MemNet>(mesh, cores,
                                        std::vector<CoreId>{0, 3});
+        net->bindRegions({&region});
         for (std::uint32_t i = 0; i < 2; ++i) {
             mcs.push_back(std::make_unique<MemCtrl>(
                 eq, *net, mem, i, i == 0 ? 0 : 3, MemCtrlParams{}));

@@ -2,7 +2,8 @@
  * @file
  * Tests of the multi-chip fabric: topology derivation and rejection
  * rules, mesh chip geometry, mandatory chip-boundary region cuts,
- * single-chip byte-identity against every checked-in golden,
+ * single-chip byte-identity against every checked-in golden
+ * (including the full-stats gather8a_stats.json),
  * cross-chip traffic through the home agent and inter-chip links,
  * the pooled far-memory tier, and determinism of multi-chip sweeps
  * across executor worker counts and sim-thread counts.
@@ -89,12 +90,11 @@ TEST(MultiChipTopology, CheckSystemRejections)
 
 TEST(MultiChipMesh, ChipGeometryAndGateways)
 {
-    EventQueue eq;
     MeshParams mp;
     mp.width = 4;
     mp.height = 4;
     mp.chips = 2;
-    Mesh m(eq, mp);
+    Mesh m(mp);
     EXPECT_EQ(m.numTiles(), 32u);
     EXPECT_EQ(m.chipOf(0), 0u);
     EXPECT_EQ(m.chipOf(15), 0u);
@@ -160,6 +160,34 @@ TEST(MultiChipRegions, ChipBoundariesAreAlwaysCut)
 
 // --------------------------------- single-chip golden byte-identity
 
+/** Contents of checked-in golden @p file; false when unreachable. */
+bool
+readGolden(const std::string &file, std::string &out)
+{
+    std::ifstream golden("../tests/golden/" + file, std::ios::binary);
+    if (!golden)
+        golden.open("tests/golden/" + file, std::ios::binary);
+    if (!golden)
+        return false;
+    std::ostringstream os;
+    os << golden.rdbuf();
+    out = os.str();
+    return true;
+}
+
+/** spmcoh_run's JSON output for @p args. */
+std::string
+replayJson(std::vector<std::string> args)
+{
+    args.push_back("--format=json");
+    const CliOptions opt = parseCli(args);
+    std::ostringstream got;
+    SweepRunner runner(WorkloadRegistry::global());
+    const auto sink = makeResultSink(opt.format, got, opt.withStats);
+    runner.run(opt.sweep, sink.get(), opt.effectiveTitle());
+    return got.str();
+}
+
 /**
  * Replaying each golden's exact CLI invocation with the multi-chip
  * machinery built in must reproduce the golden byte for byte: at
@@ -186,27 +214,29 @@ TEST(MultiChipGoldens, SingleChipIsByteIdentical)
          {"--workload=CG", "--cores=8", "--protocol=mesi"}},
     };
     for (const auto &g : goldens) {
-        std::ifstream golden(std::string("../tests/golden/") + g.file,
-                             std::ios::binary);
-        if (!golden)
-            golden.open(std::string("tests/golden/") + g.file,
-                        std::ios::binary);
-        if (!golden)
+        std::string want;
+        if (!readGolden(g.file, want))
             GTEST_SKIP() << "golden files not reachable from cwd";
-        std::ostringstream want;
-        want << golden.rdbuf();
-
         std::vector<std::string> args = g.args;
-        args.push_back("--format=json");
         args.push_back("--no-stats");
-        const CliOptions opt = parseCli(args);
-        std::ostringstream got;
-        SweepRunner runner(WorkloadRegistry::global());
-        const auto sink = makeResultSink(opt.format, got,
-                                         opt.withStats);
-        runner.run(opt.sweep, sink.get(), opt.effectiveTitle());
-        EXPECT_EQ(got.str(), want.str()) << g.file;
+        EXPECT_EQ(replayJson(args), want) << g.file;
     }
+}
+
+/**
+ * The --no-stats goldens cannot see a counter or histogram that
+ * feeds no headline result (e.g. the FilterDir slices' remoteHits).
+ * This one keeps the full stats block of an aliased gather run —
+ * every filter miss a FilterDir broadcast served by a remote SPM.
+ */
+TEST(MultiChipGoldens, AliasedGatherStatsAreByteIdentical)
+{
+    std::string want;
+    if (!readGolden("gather8a_stats.json", want))
+        GTEST_SKIP() << "golden files not reachable from cwd";
+    EXPECT_EQ(replayJson({"--workload=gather", "--cores=8",
+                          "--wparam=aliased=1"}),
+              want);
 }
 
 // ------------------------------------------------ cross-chip runs

@@ -28,7 +28,7 @@ TEST(ProtocolFactory, GlobalHasBuiltins)
     const ProtocolFactory &pf = ProtocolFactory::global();
     const std::vector<std::string> names = pf.names();
     EXPECT_GE(names.size(), 3u);
-    for (const char *n : {"spm-hybrid", "moesi", "mesi", "dragon"}) {
+    for (const char *n : {"spm-hybrid", "mesi", "dragon"}) {
         EXPECT_TRUE(pf.contains(n)) << n;
         const CoherenceProtocol *p = pf.find(n);
         ASSERT_NE(p, nullptr) << n;
@@ -45,6 +45,8 @@ TEST(ProtocolFactory, UnknownNameRejected)
 {
     const ProtocolFactory &pf = ProtocolFactory::global();
     EXPECT_FALSE(pf.contains("mosi"));
+    // spm-hybrid has no alias: one registered name per machine.
+    EXPECT_FALSE(pf.contains("moesi"));
     EXPECT_EQ(pf.find("mosi"), nullptr);
     EXPECT_THROW(pf.get("mosi"), FatalError);
     try {
@@ -87,7 +89,6 @@ TEST(ProtocolTables, PolicyHooksDistinguishFamilies)
 {
     const ProtocolFactory &pf = ProtocolFactory::global();
     EXPECT_TRUE(pf.get("spm-hybrid").ownerKeepsDirtyOnGetS());
-    EXPECT_TRUE(pf.get("moesi").ownerKeepsDirtyOnGetS());
     EXPECT_FALSE(pf.get("mesi").ownerKeepsDirtyOnGetS());
     EXPECT_FALSE(pf.get("spm-hybrid").updateBased());
     EXPECT_FALSE(pf.get("mesi").updateBased());
@@ -133,7 +134,6 @@ TEST(ProtocolTables, OwnedStateOnlyInMoesiFamilies)
     // (M -> O) and downgrades to S everywhere else.
     EXPECT_EQ(pf.get("spm-hybrid").afterFwdGetS(PState::M),
               PState::O);
-    EXPECT_EQ(pf.get("moesi").afterFwdGetS(PState::M), PState::O);
     EXPECT_EQ(pf.get("mesi").afterFwdGetS(PState::M), PState::S);
     EXPECT_EQ(pf.get("dragon").afterFwdGetS(PState::M), PState::S);
     // MESI has no Owned rows at all: touching one is fatal.

@@ -5,9 +5,10 @@
  * the 16-region cap and chip-boundary snapping), windowed
  * EventQueue semantics, multi-queue barrier release, adaptive epoch
  * windows (widen on quiet, shrink on deferral, thread-count
- * invariant), and the headline determinism property — serial and
- * N-sim-thread runs of the same experiment export byte-identical
- * JSON, across every checked-in golden's invocation.
+ * invariant), the deadlock guard at every thread count, and the
+ * headline determinism property — serial and N-sim-thread runs of
+ * the same experiment export byte-identical JSON, across every
+ * checked-in golden's invocation.
  */
 
 #include <gtest/gtest.h>
@@ -239,7 +240,7 @@ TEST(BarrierRegions, ReleasesOneEventPerQueueInArrivalOrder)
     qa.run();
     qb.run();
 
-    Barrier bar(qa, 3, /*release_latency=*/7);
+    Barrier bar(3, /*release_latency=*/7);
     std::vector<std::string> order;
     bar.arrive(qa, [&] { order.push_back("a0"); });
     bar.arrive(qb, [&] { order.push_back("b0"); });
@@ -256,6 +257,65 @@ TEST(BarrierRegions, ReleasesOneEventPerQueueInArrivalOrder)
               (std::vector<std::string>{"a0", "a1", "b0"}));
     EXPECT_EQ(qa.now(), 107u);
     EXPECT_EQ(qb.now(), 47u);
+}
+
+// ---------------------------------------------------------------
+// Deadlock guard
+// ---------------------------------------------------------------
+
+TEST(DeadlockGuard, RunFailsPastMaxTicksOnEveryEngineShape)
+{
+    // One guard for the one-region run and the partitioned core
+    // alike: run() fails once the earliest pending work lies past
+    // maxTicks.
+    const ExperimentSpec spec = ExperimentBuilder()
+                                    .workload("pipeline")
+                                    .mode(SystemMode::HybridProto)
+                                    .cores(8)
+                                    .spec();
+    const SystemParams base = spec.resolvedParams();
+    const PreparedProgram pp = prepareProgram(
+        WorkloadRegistry::global().build(spec.workload, spec.cores),
+        spec.cores, base.spmBytes);
+    const auto run = [&](std::uint32_t threads, Tick max_ticks,
+                         Tick *cycles) {
+        SystemParams p = base;
+        p.simThreads = threads;
+        p.maxTicks = max_ticks;
+        System sys(p);
+        const bool done = sys.run(
+            makeSources(pp, spec.cores, spec.mode, p.spmBytes));
+        if (cycles)
+            *cycles = sys.results().cycles;
+        return done;
+    };
+    for (std::uint32_t threads : {0u, 1u, 4u}) {
+        Tick finish = 0;
+        ASSERT_TRUE(run(threads, base.maxTicks, &finish)) << threads;
+        ASSERT_GT(finish, 2u) << threads;
+        EXPECT_FALSE(run(threads, finish / 2, nullptr)) << threads;
+    }
+}
+
+TEST(DeadlockGuard, ExperimentReportsTheTrippedGuard)
+{
+    for (std::uint32_t threads : {0u, 4u}) {
+        try {
+            ExperimentBuilder()
+                .workload("pipeline")
+                .mode(SystemMode::HybridProto)
+                .cores(8)
+                .simThreads(threads)
+                .tweak([](SystemParams &p) { p.maxTicks = 100; })
+                .run();
+            ADD_FAILURE() << "guard did not trip at " << threads;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "did not complete (deadlock guard)"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------------

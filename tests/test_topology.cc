@@ -115,8 +115,7 @@ TEST(Topology, BarrierLatencyMatchesMeshWorstCaseRoundTrip)
     for (std::uint32_t cores : {4u, 64u, 1024u}) {
         const SystemParams p =
             SystemParams::forMode(SystemMode::HybridProto, cores);
-        EventQueue eq;
-        Mesh mesh(eq, p.mesh);
+        Mesh mesh(p.mesh);
         // Release round trip: twice the worst-case contention-free
         // control-packet latency from a corner tile.
         EXPECT_EQ(p.barrierLatency,

@@ -312,49 +312,6 @@ TEST(WorkloadSpec, RegistryRejectsMisdeclaredSpecs)
     EXPECT_THROW(reg.add(std::move(s)), FatalError);
 }
 
-// ---------------------------------------------------------- adapter
-
-TEST(WorkloadAdapter, LegacyFactoryMatchesSpecPathByteForByte)
-{
-    // The old (cores, scale) signature registers through the
-    // adapter; a run through it must serialize identically to the
-    // spec-registered NAS entry in the global registry.
-    WorkloadRegistry legacy;
-    legacy.add("CG", [](std::uint32_t cores, double scale) {
-        return buildNasBenchmark(NasBench::CG, cores, scale);
-    });
-
-    const auto json = [](const WorkloadRegistry &reg) {
-        const ExperimentResult r = ExperimentBuilder(reg)
-                                       .workload("CG")
-                                       .mode(SystemMode::HybridProto)
-                                       .cores(4)
-                                       .scale(0.25)
-                                       .run();
-        std::ostringstream os;
-        auto sink = makeResultSink(ResultFormat::Json, os);
-        sink->begin("adapter");
-        sink->add(r);
-        sink->end();
-        return os.str();
-    };
-
-    EXPECT_EQ(json(legacy), json(WorkloadRegistry::global()));
-}
-
-TEST(WorkloadAdapter, LegacySpecDeclaresNoParameters)
-{
-    WorkloadRegistry legacy;
-    legacy.add("w", [](std::uint32_t, double) {
-        return ProgramDecl{};
-    });
-    EXPECT_TRUE(legacy.spec("w").params.empty());
-    // Passing any parameter to a parameterless workload is an error.
-    EXPECT_THROW(
-        legacy.build("w", 4, 1.0, WorkloadParams().set("x", 1)),
-        FatalError);
-}
-
 // ------------------------------------------------- experiment layer
 
 TEST(ExperimentWithParams, LabelCarriesSortedParams)
