@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,8 +48,6 @@ nasWorkloads()
 struct BenchMain
 {
     ResultFormat format = ResultFormat::Table;
-    /** Owns the pool when --jobs != 1; runner borrows it. */
-    std::unique_ptr<Executor> executor;
     SweepRunner runner;
 
     /** Figure-shaped printf output is wanted (default format). */
@@ -74,6 +73,7 @@ inline BenchMain
 parseArgs(int argc, char **argv, const char *desc = nullptr)
 {
     BenchMain bm;
+    std::uint32_t jobs = 1;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--format=", 9) == 0) {
@@ -86,15 +86,15 @@ parseArgs(int argc, char **argv, const char *desc = nullptr)
             }
             bm.format = *f;
         } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            std::uint32_t jobs = 0;
             if (std::strcmp(arg + 7, "auto") == 0) {
-                jobs = hardwareParallelism();
+                jobs = 0;
             } else {
                 char *end = nullptr;
                 const unsigned long v =
                     std::strtoul(arg + 7, &end, 10);
                 // strtoul accepts (and wraps) a leading '-'.
                 if (v == 0 || *end != '\0' ||
+                    v > std::numeric_limits<std::uint32_t>::max() ||
                     !std::isdigit(
                         static_cast<unsigned char>(arg[7]))) {
                     std::fprintf(stderr,
@@ -104,11 +104,6 @@ parseArgs(int argc, char **argv, const char *desc = nullptr)
                     std::exit(2);
                 }
                 jobs = static_cast<std::uint32_t>(v);
-            }
-            if (jobs > 1) {
-                bm.executor =
-                    std::make_unique<ThreadPoolExecutor>(jobs);
-                bm.runner.setExecutor(bm.executor.get());
             }
         } else if (std::strcmp(arg, "--help") == 0) {
             if (desc)
@@ -121,6 +116,7 @@ parseArgs(int argc, char **argv, const char *desc = nullptr)
             std::exit(2);
         }
     }
+    bm.runner = SweepRunner(WorkloadRegistry::global(), jobs);
     return bm;
 }
 

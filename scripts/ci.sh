@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: configure + build with warnings-as-errors, run the
 # full ctest suite and the benchmark's own tests, then smoke-test the
-# spmcoh_run CLI (exercising the thread-pool executor and JSON export
+# spmcoh_run CLI (exercising the sweep worker pool and JSON export
 # on every push).
 # Usage: scripts/ci.sh [build-dir]
 set -euo pipefail
@@ -101,6 +101,18 @@ echo "== full-stats golden (aliased gather 8-core, byte-identical) =="
     --wparam=aliased=1 --jobs=2 --format=json > "$BUILD_DIR"/gather8a.json
 cmp "$BUILD_DIR"/gather8a.json tests/golden/gather8a_stats.json || {
     echo "aliased gather stats diverged from the golden"; exit 1; }
+
+echo "== full-stats golden (partitioned 2-chip aliased gather, st 1 and 4) =="
+# The other goldens run one region; this one pins the partitioned
+# engine, whose output is byte-identical at every thread count.
+for st in 1 4; do
+    "$BUILD_DIR"/spmcoh_run --workload=gather --cores=16 --chips=2 \
+        --wparam=aliased=1 --sim-threads=$st --sim-window=auto --jobs=2 \
+        --format=json > "$BUILD_DIR"/gather16x2_st$st.json
+    cmp "$BUILD_DIR"/gather16x2_st$st.json \
+        tests/golden/gather16x2_st1_stats.json || {
+        echo "partitioned gather stats diverged at st$st"; exit 1; }
+done
 
 echo "== result regression check (contend 8-core vs golden) =="
 "$BUILD_DIR"/spmcoh_run --workload=contend --cores=8 --jobs=2 \

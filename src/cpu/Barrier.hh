@@ -12,8 +12,8 @@
  * group plus its cross-group waiters), and its release latency is
  * derived from the mesh span of that membership (System::barrierFor)
  * instead of one all-cores constant. A flat program's degenerate
- * phase graph yields all-core barriers with the legacy latency, so
- * the historical behaviour is a special case.
+ * phase graph yields all-core barriers with the configured
+ * whole-machine latency.
  */
 
 #ifndef SPMCOH_CPU_BARRIER_HH
@@ -33,7 +33,7 @@ namespace spmcoh
 class Barrier
 {
   public:
-    explicit Barrier(std::uint32_t parties_, Tick release_latency = 50)
+    explicit Barrier(std::uint32_t parties_, Tick release_latency)
         : parties(parties_), releaseLatency(release_latency)
     {
         if (parties_ == 0)

@@ -55,9 +55,8 @@ enum class OpKind : std::uint8_t
     KernelMark,
     /**
      * Scoped fork-join barrier @c count. @c tag carries the arrival
-     * count (0 = every core, the legacy default); @c addr packs the
-     * member-core span (lo | hi << 32) the System derives the
-     * release latency from.
+     * count (must be >= 1); @c addr packs the member-core span
+     * (lo | hi << 32) the System derives the release latency from.
      */
     Barrier,
     End,        ///< thread finished

@@ -8,9 +8,9 @@
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
-#include <thread>
 
 #include "cpu/CoreModel.hh"
+#include "driver/ThreadPool.hh"
 #include "protocols/ProtocolFactory.hh"
 #include "sim/Logging.hh"
 #include "system/Topology.hh"
@@ -140,6 +140,17 @@ parseUint(const std::string &s)
     return v;
 }
 
+/** parseUint for flags that land in a std::uint32_t: a value past
+ *  32 bits is malformed, never silently wrapped. */
+std::optional<std::uint32_t>
+parseUint32(const std::string &s)
+{
+    const auto v = parseUint(s);
+    if (!v || *v > std::numeric_limits<std::uint32_t>::max())
+        return std::nullopt;
+    return static_cast<std::uint32_t>(*v);
+}
+
 /** Parse a whole-string double; nullopt when malformed. */
 std::optional<double>
 parseDouble(const std::string &s)
@@ -152,6 +163,28 @@ parseDouble(const std::string &s)
     if (errno != 0 || end != s.c_str() + s.size())
         return std::nullopt;
     return v;
+}
+
+/**
+ * The flag name when @p arg gives a comma-list flag an empty list
+ * ("--cores="). Such a flag is an error, never a silent fall-back to
+ * the axis default.
+ */
+std::optional<std::string>
+emptyListFlag(const std::string &arg)
+{
+    static const char *const listFlags[] = {
+        "--workload", "--mode", "--protocol", "--cores", "--chips",
+        "--scale", "--filter-entries", "--prefetcher"};
+    const std::size_t eq = arg.find('=');
+    if (eq == std::string::npos ||
+        !splitList(arg.substr(eq + 1)).empty())
+        return std::nullopt;
+    const std::string flag = arg.substr(0, eq);
+    for (const char *f : listFlags)
+        if (flag == f)
+            return flag;
+    return std::nullopt;
 }
 
 /** Value of "--flag=value" when @p arg starts with "--flag=". */
@@ -187,7 +220,10 @@ parseCli(const std::vector<std::string> &args,
 
     for (const std::string &arg : args) {
         std::optional<std::string> v;
-        if (arg == "--help" || arg == "-h") {
+        if (const auto flag = emptyListFlag(arg)) {
+            errs.push_back(*flag + " lists no values");
+            sawWorkload = sawWorkload || *flag == "--workload";
+        } else if (arg == "--help" || arg == "-h") {
             opt.help = true;
         } else if (arg == "--list-workloads") {
             opt.listWorkloads = true;
@@ -231,34 +267,25 @@ parseCli(const std::vector<std::string> &args,
             }
         } else if ((v = flagValue(arg, "--cores"))) {
             for (const std::string &c : splitList(*v)) {
-                const auto n = parseUint(c);
-                if (!n || *n == 0 ||
-                    *n > std::numeric_limits<std::uint32_t>::max()) {
+                const auto n = parseUint32(c);
+                if (!n || *n == 0)
                     errs.push_back("bad core count '" + c + "'");
-                    continue;
-                }
-                const auto count = static_cast<std::uint32_t>(*n);
-                if (const auto err = Topology::checkCores(count))
+                else if (const auto err = Topology::checkCores(*n))
                     errs.push_back("--cores=" + c + ": " + *err);
                 else
-                    opt.sweep.coreCounts.push_back(count);
+                    opt.sweep.coreCounts.push_back(*n);
             }
         } else if ((v = flagValue(arg, "--chips"))) {
             opt.sweep.chipCounts.clear();
             for (const std::string &c : splitList(*v)) {
-                const auto n = parseUint(c);
-                if (!n || *n == 0 ||
-                    *n > std::numeric_limits<std::uint32_t>::max()) {
-                    errs.push_back("bad chip count '" + c + "'");
-                    continue;
-                }
                 // The per-chip tiling also depends on the core
                 // count, so full validation waits for expand().
-                opt.sweep.chipCounts.push_back(
-                    static_cast<std::uint32_t>(*n));
+                const auto n = parseUint32(c);
+                if (!n || *n == 0)
+                    errs.push_back("bad chip count '" + c + "'");
+                else
+                    opt.sweep.chipCounts.push_back(*n);
             }
-            if (opt.sweep.chipCounts.empty())
-                errs.push_back("--chips lists no chip counts");
         } else if ((v = flagValue(arg, "--far-mem-lat"))) {
             const auto n = parseUint(*v);
             if (!n)
@@ -267,14 +294,12 @@ parseCli(const std::vector<std::string> &args,
             else
                 opt.sweep.farMemLat = *n;
         } else if ((v = flagValue(arg, "--far-mem-bw"))) {
-            const auto n = parseUint(*v);
-            if (!n || *n == 0 ||
-                *n > std::numeric_limits<std::uint32_t>::max())
+            const auto n = parseUint32(*v);
+            if (!n || *n == 0)
                 errs.push_back("bad far-memory width '" + *v +
                                "' (expected bytes per cycle)");
             else
-                opt.sweep.farMemBw =
-                    static_cast<std::uint32_t>(*n);
+                opt.sweep.farMemBw = *n;
         } else if ((v = flagValue(arg, "--scale"))) {
             for (const std::string &s : splitList(*v)) {
                 const auto x = parseDouble(s);
@@ -316,13 +341,12 @@ parseCli(const std::vector<std::string> &args,
                 wparamAxes.emplace_back(key, std::move(values));
         } else if ((v = flagValue(arg, "--filter-entries"))) {
             for (const std::string &f : splitList(*v)) {
-                const auto n = parseUint(f);
+                const auto n = parseUint32(f);
                 if (!n || *n == 0)
                     errs.push_back("bad filter entry count '" + f +
                                    "'");
                 else
-                    filterEntries.push_back(
-                        static_cast<std::uint32_t>(*n));
+                    filterEntries.push_back(*n);
             }
         } else if ((v = flagValue(arg, "--prefetcher"))) {
             for (const std::string &p : splitList(*v)) {
@@ -338,31 +362,28 @@ parseCli(const std::vector<std::string> &args,
             if (*v == "auto") {
                 opt.jobs = 0;
             } else {
-                const auto n = parseUint(*v);
+                const auto n = parseUint32(*v);
                 if (!n || *n == 0)
                     errs.push_back("bad job count '" + *v +
                                    "' (expected a positive integer "
                                    "or 'auto')");
                 else
-                    opt.jobs = static_cast<std::uint32_t>(*n);
+                    opt.jobs = *n;
             }
         } else if ((v = flagValue(arg, "--sim-threads"))) {
             if (*v == "auto") {
                 // The System clamps to its region count, so "all
                 // hardware threads" is a safe upper bound here.
-                const unsigned hw =
-                    std::thread::hardware_concurrency();
-                opt.sweep.simThreads = hw ? hw : 1;
+                opt.sweep.simThreads = hardwareParallelism();
             } else {
-                const auto n = parseUint(*v);
+                const auto n = parseUint32(*v);
                 if (!n)
                     errs.push_back(
                         "bad sim-thread count '" + *v +
                         "' (expected a non-negative integer or "
                         "'auto'; 0 = monolithic)");
                 else
-                    opt.sweep.simThreads =
-                        static_cast<std::uint32_t>(*n);
+                    opt.sweep.simThreads = *n;
             }
         } else if ((v = flagValue(arg, "--sim-window"))) {
             if (*v == "auto") {
@@ -409,8 +430,6 @@ parseCli(const std::vector<std::string> &args,
     if (!sawWorkload)
         errs.push_back("no workload set (use --workload=NAME, or "
                        "--workload=all)");
-    else if (opt.sweep.workloads.empty())
-        errs.push_back("--workload lists no workloads");
 
     if (sawSimWindow && opt.sweep.simThreads == 0)
         errs.push_back("--sim-window configures the partitioned "

@@ -211,6 +211,18 @@ validateExperiment(const ExperimentSpec &spec,
         spec.simThreads == 0)
         errs.push_back("simWindow configures the partitioned core; "
                        "it needs simThreads >= 1");
+    // Tick-valued knobs beyond the run-length guard would overflow
+    // the event arithmetic (a horizon or a completion tick wraps).
+    const Tick max_ticks = spec.paramsOverride
+        ? spec.paramsOverride->maxTicks : SystemParams{}.maxTicks;
+    for (const auto &[name, t] :
+         {std::pair<const char *, Tick>{"simWindow", spec.simWindow},
+          {"simWindowMax", spec.simWindowMax},
+          {"farMemLat", spec.farMemLat}})
+        if (t > max_ticks)
+            errs.push_back(std::string(name) + " (" +
+                           std::to_string(t) + ") exceeds maxTicks (" +
+                           std::to_string(max_ticks) + ")");
     if (spec.simWindowMax > 0 && spec.simWindow > 0 &&
         spec.simWindowMax < spec.simWindow)
         errs.push_back("adaptive window ceiling (" +

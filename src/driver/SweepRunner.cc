@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "driver/ThreadPool.hh"
 #include "sim/Logging.hh"
 
 namespace spmcoh
@@ -149,7 +150,7 @@ std::vector<ExperimentResult>
 SweepRunner::runSpecs(const std::vector<ExperimentSpec> &specs,
                       ResultSink *sink, const std::string &title)
 {
-    // Compile phase: serial, so executor jobs share read-only
+    // Compile phase: serial, so the jobs share read-only
     // PreparedPrograms and stay independent of each other.
     std::vector<const PreparedProgram *> programs;
     programs.reserve(specs.size());
@@ -165,7 +166,7 @@ SweepRunner::runSpecs(const std::vector<ExperimentSpec> &specs,
                 runExperiment(specs[i], *reg, programs[i]);
         });
     }
-    (ex ? *ex : serial).run(std::move(jobs));
+    runJobs(workers, std::move(jobs));
 
     if (sink) {
         sink->begin(title);

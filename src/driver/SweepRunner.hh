@@ -4,8 +4,7 @@
  * modes x core counts x workload scales x named parameter variants.
  * PreparedPrograms are compiled once and shared across every sweep
  * point with the same (workload, cores, scale, spmBytes); points run
- * through a pluggable executor so a thread-pool backend can slot in
- * without touching the sweep logic.
+ * on a fixed number of worker threads (runJobs, ThreadPool.hh).
  */
 
 #ifndef SPMCOH_DRIVER_SWEEPRUNNER_HH
@@ -56,7 +55,7 @@ struct SweepSpec
      * Intra-run simulation worker threads, stamped onto every
      * expanded spec (ExperimentSpec::simThreads). Not an axis:
      * results are byte-identical for every value >= 1. Distinct from
-     * the executor's sweep-point parallelism (--jobs).
+     * the sweep-point parallelism (--jobs).
      */
     std::uint32_t simThreads = 0;
     /**
@@ -87,54 +86,6 @@ std::vector<WorkloadParams> expandParamAxes(
     const std::vector<std::pair<std::string, std::vector<double>>>
         &axes);
 
-/**
- * Runs batches of independent jobs.
- *
- * Contract between SweepRunner and Executor implementations:
- *
- * - **Job independence.** Every job submitted by SweepRunner is
- *   thread-safe against every other job in the same batch: each job
- *   builds its own System, draws from its own deterministic Rngs,
- *   and writes only its own pre-allocated result slot. Shared
- *   inputs (the WorkloadRegistry and the PreparedProgram cache) are
- *   read-only during execution — compilation is hoisted into a
- *   serial phase before the batch is submitted. Implementations may
- *   therefore run jobs concurrently without any locking.
- * - **Completion.** run() must not return before every claimed job
- *   has finished; results are read immediately after it returns.
- * - **Ordering.** Jobs may execute in any order on any thread.
- *   Result ordering is the caller's responsibility (per-job result
- *   slots), so output is identical whatever the execution order.
- * - **Exceptions.** Jobs may throw (FatalError/PanicError from a
- *   misconfigured or deadlocked point). An implementation must stop
- *   dispatching further jobs and propagate the failure of the
- *   lowest-indexed failed job to the caller of run(), matching what
- *   SerialExecutor would have thrown.
- *
- * SerialExecutor runs jobs in order on the calling thread;
- * ThreadPoolExecutor (ThreadPool.hh) drains the batch with a fixed
- * worker pool.
- */
-class Executor
-{
-  public:
-    virtual ~Executor() = default;
-    /** Run every job; must not return before all complete. */
-    virtual void run(std::vector<std::function<void()>> jobs) = 0;
-};
-
-/** In-order, same-thread executor. */
-class SerialExecutor final : public Executor
-{
-  public:
-    void
-    run(std::vector<std::function<void()>> jobs) override
-    {
-        for (auto &j : jobs)
-            j();
-    }
-};
-
 /** Expands and executes sweeps, caching compiled programs. */
 class SweepRunner
 {
@@ -145,10 +96,12 @@ class SweepRunner
         std::size_t hits = 0;      ///< points served from the cache
     };
 
+    /** @param workers_ threads for the sweep points (--jobs):
+     *  1 = in order on the calling thread, 0 = hardware threads. */
     explicit SweepRunner(
         const WorkloadRegistry &reg_ = WorkloadRegistry::global(),
-        Executor *ex_ = nullptr)
-        : reg(&reg_), ex(ex_)
+        std::uint32_t workers_ = 1)
+        : reg(&reg_), workers(workers_)
     {}
 
     /**
@@ -169,7 +122,7 @@ class SweepRunner
     run(const SweepSpec &sweep, ResultSink *sink = nullptr,
         const std::string &title = "");
 
-    /** Run pre-expanded specs (cache + executor still apply). */
+    /** Run pre-expanded specs (cache + worker count still apply). */
     std::vector<ExperimentResult>
     runSpecs(const std::vector<ExperimentSpec> &specs,
              ResultSink *sink = nullptr,
@@ -178,20 +131,11 @@ class SweepRunner
     const CacheStats &cacheStats() const { return cstats; }
     const WorkloadRegistry &registry() const { return *reg; }
 
-    /**
-     * Replace the executor (null = built-in serial). The executor
-     * must outlive the runner; the runner does not take ownership.
-     */
-    void setExecutor(Executor *ex_) { ex = ex_; }
-
   private:
     const PreparedProgram &prepared(const ExperimentSpec &spec);
 
     const WorkloadRegistry *reg;
-    SerialExecutor serial;
-    /** Null = use the built-in serial executor. Kept as a pointer
-     *  resolved at run time so implicit copies/moves stay safe. */
-    Executor *ex;
+    std::uint32_t workers;  ///< runJobs worker count
     std::map<std::string, std::unique_ptr<PreparedProgram>> cache;
     CacheStats cstats;
 };

@@ -1,6 +1,6 @@
 /**
  * @file
- * Thread-pool executor implementation.
+ * Worker-pool batch execution.
  */
 
 #include "driver/ThreadPool.hh"
@@ -20,19 +20,14 @@ hardwareParallelism()
     return n ? n : 1;
 }
 
-ThreadPoolExecutor::ThreadPoolExecutor(std::uint32_t workers_)
-    : numWorkers(workers_ ? workers_ : hardwareParallelism())
-{}
-
 void
-ThreadPoolExecutor::run(std::vector<std::function<void()>> jobs)
+runJobs(std::uint32_t workers, std::vector<std::function<void()>> jobs)
 {
-    if (jobs.empty())
-        return;
-
-    if (numWorkers == 1 || jobs.size() == 1) {
-        // Serial fast path: --jobs=1 is exactly SerialExecutor
-        // (same thread, same first-failure propagation).
+    if (workers == 0)
+        workers = hardwareParallelism();
+    if (workers == 1 || jobs.size() <= 1) {
+        // In order on the calling thread; the first failure
+        // propagates and stops the batch.
         for (auto &j : jobs)
             j();
         return;
@@ -58,8 +53,8 @@ ThreadPoolExecutor::run(std::vector<std::function<void()>> jobs)
             } catch (...) {
                 failed.store(true, std::memory_order_relaxed);
                 std::lock_guard<std::mutex> lock(errMutex);
-                // Keep the lowest-indexed failure: it is the one
-                // SerialExecutor would have thrown.
+                // Keep the lowest-indexed failure: it is the one an
+                // in-order run would have thrown.
                 if (i < errIndex) {
                     errIndex = i;
                     errPtr = std::current_exception();
@@ -69,7 +64,7 @@ ThreadPoolExecutor::run(std::vector<std::function<void()>> jobs)
     };
 
     const std::size_t nthreads =
-        std::min<std::size_t>(numWorkers, jobs.size());
+        std::min<std::size_t>(workers, jobs.size());
     std::vector<std::thread> threads;
     threads.reserve(nthreads);
     for (std::size_t t = 0; t < nthreads; ++t)

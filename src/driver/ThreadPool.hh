@@ -1,18 +1,17 @@
 /**
  * @file
- * Concurrent Executor backend for SweepRunner: a fixed pool of
- * worker threads draining one shared job queue. Sweep points are
- * independent once the compile phase has run (see the Executor
- * contract in SweepRunner.hh), so the pool needs no work stealing
- * or locking beyond an atomic next-job cursor.
+ * Batch execution for SweepRunner: runJobs drains a batch of
+ * independent jobs on a fixed number of worker threads. Sweep points
+ * are independent once the compile phase has run, so the pool needs
+ * no work stealing or locking beyond an atomic next-job cursor.
  */
 
 #ifndef SPMCOH_DRIVER_THREADPOOL_HH
 #define SPMCOH_DRIVER_THREADPOOL_HH
 
 #include <cstdint>
-
-#include "driver/SweepRunner.hh"
+#include <functional>
+#include <vector>
 
 namespace spmcoh
 {
@@ -24,39 +23,33 @@ namespace spmcoh
 std::uint32_t hardwareParallelism();
 
 /**
- * Executor running jobs on a fixed pool of worker threads.
+ * Run every job in @p jobs on @p workers threads (0 =
+ * hardwareParallelism()); returns once all claimed jobs finished.
  *
- * Ordering: jobs are claimed in index order from an atomic cursor,
- * but may complete in any order on any worker. Because Executor
- * jobs write only their own pre-allocated result slot (see
- * SweepRunner::runSpecs), results are position-stable and a sweep
- * produces byte-identical output regardless of the worker count.
+ * - **Job independence.** The caller guarantees jobs are
+ *   thread-safe against each other. SweepRunner's are: each builds
+ *   its own System, draws from its own deterministic Rngs and writes
+ *   only its own pre-allocated result slot, while the shared inputs
+ *   (the WorkloadRegistry and the PreparedProgram cache) are
+ *   read-only — compilation is hoisted into a serial phase before
+ *   the batch runs.
+ * - **Ordering.** Jobs are claimed in index order but may complete
+ *   in any order on any worker. Results are position-stable (per-job
+ *   slots), so a sweep's output is byte-identical whatever the
+ *   worker count.
+ * - **Exceptions.** When jobs throw (FatalError/PanicError from a
+ *   misconfigured or deadlocked point), no further job is handed
+ *   out, every worker is joined, and the exception of the
+ *   lowest-indexed failed job is rethrown on the calling thread —
+ *   the one an in-order run would have surfaced. Jobs already
+ *   running when another fails still run to completion.
  *
- * Exceptions: when jobs throw, the pool stops handing out further
- * jobs, joins every worker, and rethrows the exception of the
- * *lowest-indexed* failed job on the calling thread — the same
- * exception SerialExecutor would have surfaced, so error behavior
- * is deterministic across worker counts. Jobs already running when
- * another fails still run to completion (they cannot be cancelled).
- *
- * With one worker, jobs run serially on the calling thread; no
- * threads are spawned, making --jobs=1 exactly SerialExecutor.
+ * With one worker (or one job) the jobs run in order on the calling
+ * thread and no thread is spawned: this is the reference every
+ * worker count must reproduce.
  */
-class ThreadPoolExecutor final : public Executor
-{
-  public:
-    /**
-     * @param workers_ fixed worker count; 0 = hardwareParallelism()
-     */
-    explicit ThreadPoolExecutor(std::uint32_t workers_ = 0);
-
-    void run(std::vector<std::function<void()>> jobs) override;
-
-    std::uint32_t workers() const { return numWorkers; }
-
-  private:
-    std::uint32_t numWorkers;
-};
+void runJobs(std::uint32_t workers,
+             std::vector<std::function<void()>> jobs);
 
 } // namespace spmcoh
 

@@ -85,8 +85,6 @@ struct EnergyParams
     double cohStaticPerCoreCycle = 0.0040;   ///< SPMDir + filter
     double filterDirStaticPerSliceCycle = 0.0010;
 
-    /** Structures power-gate when unused (Sec. 5.3 / 4.1). */
-    bool gateUnusedCohStructures = true;
     bool hybridStructuresPresent = true;  ///< SPM/DMAC/coh leakage
 };
 
@@ -151,11 +149,11 @@ class EnergyModel
             e.spms = p.spmAccess * c.spmAccesses +
                      p.spmStaticPerCoreCycle * n * cyc;
 
+            // Unused coherence structures power-gate (Sec. 5.3 / 4.1).
             const bool coh_used =
                 c.guardedAccesses > 0 || c.filterDirOps > 0 ||
                 c.spmDirLookups > 0;
-            const double coh_leak_scale =
-                (p.gateUnusedCohStructures && !coh_used) ? 0.25 : 1.0;
+            const double coh_leak_scale = coh_used ? 1.0 : 0.25;
             e.cohProt = p.spmDirLookup * c.spmDirLookups +
                         p.filterLookup * c.filterLookups +
                         p.filterDirOp * c.filterDirOps +

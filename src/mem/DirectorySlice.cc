@@ -6,8 +6,6 @@
 #include "mem/DirectorySlice.hh"
 
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 namespace spmcoh
@@ -88,17 +86,10 @@ DirectorySlice::peekEntry(Addr line_addr) const
     return EntrySnapshot{de->state, de->owner, de->sharers};
 }
 
-static const char *trace_env = std::getenv("SPMCOH_TRACE_LINE");
-static const unsigned long long trace_line =
-    trace_env ? std::stoull(trace_env, nullptr, 0) : 0;
-
 void
 DirectorySlice::handle(const Message &msg)
 {
     const Addr la = lineAlign(msg.addr);
-    if (trace_line && la == trace_line)
-        std::fprintf(stderr, "[dir%u t%llu] msg type=%d src=%u req=%u hasData=%d dirty=%d\n",
-            tile, (unsigned long long)net.events().now(), int(msg.type), msg.src, msg.requestor, msg.hasData, msg.dirty);
     switch (msg.type) {
       case MsgType::GetS:
       case MsgType::GetX:
@@ -579,11 +570,9 @@ DirectorySlice::onMemResp(const Message &msg)
     if (it == busy.end())
         panic("DirectorySlice: memory response for idle line");
     Txn &t = *it->second;
-    // Cache the fill in the NUCA slice; DMA fills are included by
-    // default (the GM "includes caches and main memory", Sec. 2.1)
-    // but can be excluded to study pollution.
-    if (t.req.type != MsgType::DmaRead || p.dmaFillsL2)
-        l2Insert(la, msg.data, false);
+    // Cache the fill in the NUCA slice, DMA fills included: the GM
+    // "includes caches and main memory" (Sec. 2.1).
+    l2Insert(la, msg.data, false);
     t.data = msg.data;
     t.haveData = true;
     t.dataDirty = false;

@@ -54,9 +54,6 @@ struct DirSliceParams
     std::uint32_t dirWays = 4;
     Tick dirLatency = 2;
     Tick retryDelay = 64;  ///< backoff when a set is fully pinned
-    /** dma-get fills flow through the NUCA slice (GM includes the
-     *  caches, Fig. 1), so DMA re-reads hit on-chip. */
-    bool dmaFillsL2 = true;
 };
 
 /** L2 slice + directory slice controller for one tile. */

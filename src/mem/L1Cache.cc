@@ -5,16 +5,10 @@
 
 #include "mem/L1Cache.hh"
 
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 namespace spmcoh
 {
-
-static const char *trace_env = std::getenv("SPMCOH_TRACE_LINE");
-static const unsigned long long trace_line =
-    trace_env ? std::stoull(trace_env, nullptr, 0) : 0;
 
 L1Cache::L1Cache(MemNet &net_, CoreId core_, bool icache_,
                  const L1Params &p_, const std::string &name,
@@ -136,9 +130,6 @@ L1Cache::startAccess(Addr addr, std::uint8_t size, bool is_write,
     }
 
     const Addr la = lineAlign(addr);
-    if (trace_line && la == trace_line)
-        std::fprintf(stderr, "[l1%s%u t%llu] startAccess w=%d\n", icache?"i":"d", core,
-            (unsigned long long)net.events().now(), int(is_write));
     MshrTarget tgt;
     tgt.addr = addr;
     tgt.size = size;
@@ -229,9 +220,6 @@ L1Cache::trainPrefetcher(std::uint32_t ref_id, Addr addr, Tick at)
 void
 L1Cache::handle(const Message &msg)
 {
-    if (trace_line && lineAlign(msg.addr) == trace_line)
-        std::fprintf(stderr, "[l1%s%u t%llu] msg type=%d\n", icache?"i":"d", core,
-            (unsigned long long)net.events().now(), int(msg.type));
     switch (msg.type) {
       case MsgType::DataS:
       case MsgType::DataE:
@@ -383,9 +371,6 @@ L1Cache::installLine(Addr line_addr, L1State st, const LineData &d,
 void
 L1Cache::evict(Addr line_addr, Line &&victim)
 {
-    if (trace_line && line_addr == trace_line)
-        std::fprintf(stderr, "[l1%s%u t%llu] evict state=%d\n", icache?"i":"d", core,
-            (unsigned long long)net.events().now(), int(victim.state));
     ++stEvictions;
     if (victim.prefetched && !victim.used)
         ++stWastedPrefetches;

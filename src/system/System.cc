@@ -35,18 +35,26 @@ System::System(const SystemParams &p_)
                   std::to_string(t) + " is outside the " +
                   std::to_string(p.mesh.width) + "x" +
                   std::to_string(p.mesh.height) + " mesh");
+    // A zero-sized structure would divide by zero or index an empty
+    // table deep inside the model; reject it by name instead.
+    for (const auto &[name, n] :
+         {std::pair<const char *, std::uint32_t>{"core.issueWidth",
+                                                 p.core.issueWidth},
+          {"mesh.flitBytes", p.mesh.flitBytes},
+          {"l1d.ways", p.l1d.ways},
+          {"l1i.ways", p.l1i.ways},
+          {"l1d.prefetcher.tableEntries",
+           p.l1d.prefetcher.tableEntries},
+          {"dir.l2Ways", p.dir.l2Ways},
+          {"dir.dirWays", p.dir.dirWays},
+          {"tlb.entries", p.tlb.entries},
+          {"tlb.pageBytes", p.tlb.pageBytes},
+          {"coh.filterEntries", p.coh.filterEntries},
+          {"coh.spmDirEntries", p.coh.spmDirEntries},
+          {"filterDir.entriesPerSlice", p.filterDir.entriesPerSlice}})
+        if (n == 0)
+            fatal(std::string("System: ") + name + " must be >= 1");
     fabric.ideal = p.mode == SystemMode::HybridIdeal;
-
-    if (p.scaleMcBandwidth) {
-        // Keep aggregate memory bandwidth proportional to the core
-        // population: each line's controller occupancy becomes
-        // serviceCycles * 16 * numMCs / numCores cycles, tracked in
-        // 1/serviceDenom sub-cycle units (MemCtrl::serviceSlot).
-        const std::uint64_t mcs64 = p.mcTiles.size();
-        p.mc.serviceCycles = p.mc.serviceCycles * 16 *
-            static_cast<Tick>(mcs64);
-        p.mc.serviceDenom *= p.numCores;
-    }
 
     net = std::make_unique<MemNet>(noc, p.numCores, p.mcTiles);
 
@@ -219,13 +227,10 @@ System::barrierFor(const MicroOp &op)
     if (it != barriers.end())
         return *it->second;
 
-    // Legacy streams (hand-rolled op sources) carry no scope
-    // metadata: tag == 0 means the all-cores barrier.
-    const std::uint32_t parties = op.tag ? op.tag : p.numCores;
     const auto lo = static_cast<std::uint32_t>(op.addr);
     const auto hi = static_cast<std::uint32_t>(op.addr >> 32);
     Tick lat = p.barrierLatency;
-    if (op.tag != 0 && !(lo == 0 && hi + 1 >= p.numCores)) {
+    if (!(lo == 0 && hi + 1 >= p.numCores)) {
         const std::uint32_t w = p.mesh.width;
         const std::uint32_t per_chip = w * p.mesh.height;
         if (p.mesh.chips > 1 && lo / per_chip != hi / per_chip) {
@@ -254,7 +259,7 @@ System::barrierFor(const MicroOp &op)
     }
     it = barriers
              .emplace(op.count,
-                      std::make_unique<Barrier>(parties, lat))
+                      std::make_unique<Barrier>(op.tag, lat))
              .first;
     return *it->second;
 }

@@ -70,16 +70,6 @@ struct SystemParams
      *  their member span (System::barrierFor). */
     Tick barrierLatency = 58;
     /**
-     * Scale per-controller memory bandwidth with the core
-     * population (ROADMAP "Scale"): when set, each controller's
-     * line-service occupancy becomes
-     * serviceCycles * 16 * numControllers / numCores cycles, keeping
-     * aggregate bandwidth proportional to the core count (the
-     * Table 1 machine -- 64 cores, 4 controllers -- is the fixed
-     * point). Default off so existing goldens are untouched.
-     */
-    bool scaleMcBandwidth = false;
-    /**
      * Pooled far-memory tier (multi-chip fabrics only): when > 0,
      * lines whose static backing chip differs from the serving
      * controller's chip pay this pool access latency (plus the
@@ -219,8 +209,7 @@ class System
     /**
      * Barrier registry used by the cores' barrier hook: the scoped
      * barrier a Barrier op describes. The op's tag carries the
-     * arrival count (0 = every core) and its addr the member-core
-     * span; a barrier spanning the whole machine uses the configured
+     * arrival count (0 is fatal) and its addr the member-core span; a barrier spanning the whole machine uses the configured
      * barrierLatency, a subgroup derives its release latency from
      * the span's mesh bounding box (same round-trip formula the
      * topology layer uses for the full mesh).

@@ -22,7 +22,6 @@
 
 #include "driver/Cli.hh"
 #include "driver/Driver.hh"
-#include "driver/ThreadPool.hh"
 #include "runtime/PhaseSchedule.hh"
 #include "sim/Logging.hh"
 
@@ -97,9 +96,7 @@ main(int argc, char **argv)
             ? static_cast<std::ostream &>(file)
             : std::cout;
 
-        ThreadPoolExecutor pool(opt.jobs);
-        SweepRunner runner(WorkloadRegistry::global(),
-                           opt.jobs != 1 ? &pool : nullptr);
+        SweepRunner runner(WorkloadRegistry::global(), opt.jobs);
         const auto sink =
             makeResultSink(opt.format, os, opt.withStats);
         runner.run(opt.sweep, sink.get(), opt.effectiveTitle());

@@ -156,6 +156,105 @@ TEST(Cli, RequiresAWorkload)
     }
 }
 
+/** The FatalError message parseCli throws for @p args. */
+std::string
+cliError(const std::vector<std::string> &args)
+{
+    try {
+        parseCli(args);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected FatalError";
+    return "";
+}
+
+TEST(Cli, RejectsCountsPast32Bits)
+{
+    // Each value wrapped to 0 (or a small count) when narrowed to
+    // 32 bits; 0 filter entries crashed, 0 sim threads silently ran
+    // one region, 0 jobs silently meant 'auto'.
+    EXPECT_NE(cliError({"--workload=CG", "--cores=8",
+                        "--filter-entries=4294967296"})
+                  .find("bad filter entry count '4294967296'"),
+              std::string::npos);
+    EXPECT_NE(cliError({"--workload=CG", "--sim-threads=4294967296"})
+                  .find("bad sim-thread count '4294967296'"),
+              std::string::npos);
+    EXPECT_NE(cliError({"--workload=CG", "--jobs=4294967296"})
+                  .find("bad job count '4294967296'"),
+              std::string::npos);
+    EXPECT_NE(cliError({"--workload=CG", "--cores=4294967360"})
+                  .find("bad core count '4294967360'"),
+              std::string::npos);
+    EXPECT_NE(cliError({"--workload=CG", "--chips=4294967297"})
+                  .find("bad chip count '4294967297'"),
+              std::string::npos);
+    EXPECT_NE(cliError({"--workload=CG", "--far-mem-bw=4294967304"})
+                  .find("bad far-memory width '4294967304'"),
+              std::string::npos);
+    // The largest 32-bit value still parses.
+    EXPECT_EQ(parseCli({"--workload=CG", "--jobs=4294967295"}).jobs,
+              4294967295u);
+}
+
+TEST(Cli, RejectsTickValuesPastMaxTicks)
+{
+    // The window wrapped the epoch horizon ("scheduling in the
+    // past"); the far-memory latency wraps completion ticks.
+    const auto expandError = [](const std::vector<std::string> &a) {
+        const CliOptions opt = parseCli(a);
+        try {
+            SweepRunner().expand(opt.sweep);
+        } catch (const FatalError &e) {
+            return std::string(e.what());
+        }
+        ADD_FAILURE() << "expected FatalError";
+        return std::string();
+    };
+    EXPECT_NE(expandError({"--workload=CG", "--cores=8",
+                           "--sim-window=18446744073709551615",
+                           "--sim-threads=1"})
+                  .find("simWindow (18446744073709551615) exceeds "
+                        "maxTicks"),
+              std::string::npos);
+    EXPECT_NE(expandError({"--workload=xpipeline", "--cores=16",
+                           "--chips=2",
+                           "--far-mem-lat=18446744073709551615"})
+                  .find("farMemLat (18446744073709551615) exceeds "
+                        "maxTicks"),
+              std::string::npos);
+    SweepSpec sweep;
+    sweep.workloads = {"CG"};
+    sweep.coreCounts = {8};
+    sweep.simThreads = 1;
+    sweep.simWindow = 8;
+    sweep.simWindowMax = SystemParams{}.maxTicks + 1;
+    try {
+        SweepRunner().expand(sweep);
+        ADD_FAILURE() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("simWindowMax ("),
+                  std::string::npos);
+    }
+}
+
+TEST(Cli, RejectsEmptyLists)
+{
+    // These ran the axis default (64 cores, scale 1, ...) before.
+    for (const char *flag :
+         {"--workload", "--mode", "--protocol", "--cores", "--chips",
+          "--scale", "--filter-entries", "--prefetcher"}) {
+        SCOPED_TRACE(flag);
+        std::vector<std::string> args{std::string(flag) + "="};
+        if (std::string(flag) != "--workload")
+            args.push_back("--workload=CG");
+        EXPECT_NE(cliError(args).find(std::string(flag) +
+                                      " lists no values"),
+                  std::string::npos);
+    }
+}
+
 TEST(Cli, GeneratedTitleNamesTheAxes)
 {
     const CliOptions opt =
@@ -174,8 +273,7 @@ TEST(Cli, ParsedSweepRunsThroughTheDriver)
     const CliOptions opt = parseCli(
         {"--workload=CG", "--cores=4", "--scale=0.25",
          "--jobs=2"});
-    ThreadPoolExecutor pool(opt.jobs);
-    SweepRunner runner(WorkloadRegistry::global(), &pool);
+    SweepRunner runner(WorkloadRegistry::global(), opt.jobs);
     const auto results = runner.run(opt.sweep);
     ASSERT_EQ(results.size(), 1u);
 

@@ -191,6 +191,8 @@ TEST(Core, BarrierSynchronizesAllCores)
     MicroOp bar;
     bar.kind = OpKind::Barrier;
     bar.count = 0;
+    bar.tag = 4;                      // every core arrives
+    bar.addr = Addr{3} << 32;         // member span: cores 0..3
     // Core 0 reaches the barrier immediately; others compute first.
     std::vector<std::unique_ptr<OpSource>> others;
     for (int c = 1; c < 4; ++c)
@@ -199,6 +201,15 @@ TEST(Core, BarrierSynchronizesAllCores)
     const Tick t = runOps(sys, {bar}, &others);
     // Core 0 cannot pass the barrier before the slowest core.
     EXPECT_GE(t, 1000u);
+}
+
+TEST(Core, UntaggedBarrierIsFatal)
+{
+    // tag carries the arrival count; every op source must set it.
+    System sys(params4());
+    MicroOp bar;
+    bar.kind = OpKind::Barrier;
+    EXPECT_THROW(runOps(sys, {bar}), FatalError);
 }
 
 TEST(Core, DmaSyncBlocksUntilTransferDone)

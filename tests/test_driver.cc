@@ -233,32 +233,6 @@ TEST(SweepRunner, CachesPreparedProgramsAcrossModes)
               swept.results.traffic.totalPackets());
 }
 
-TEST(SweepRunner, CustomExecutorReceivesAllJobs)
-{
-    struct CountingExecutor final : Executor
-    {
-        std::size_t jobsRun = 0;
-        void
-        run(std::vector<std::function<void()>> jobs) override
-        {
-            for (auto &j : jobs) {
-                j();
-                ++jobsRun;
-            }
-        }
-    };
-    CountingExecutor ex;
-    SweepRunner runner(WorkloadRegistry::global(), &ex);
-    SweepSpec sweep;
-    sweep.workloads = {"EP"};
-    sweep.modes = {SystemMode::CacheOnly, SystemMode::HybridProto};
-    sweep.coreCounts = {4};
-    sweep.scales = {0.25};
-    const auto results = runner.run(sweep);
-    EXPECT_EQ(ex.jobsRun, 2u);
-    EXPECT_EQ(results.size(), 2u);
-}
-
 // ------------------------------------------------- JSON round-trip
 
 /**

@@ -1,16 +1,19 @@
 /**
  * @file
- * Tests for the thread-pool executor: the Executor contract
+ * Tests for runJobs, the sweep's batch execution: its contract
  * (completion, per-slot writes, exception propagation) on synthetic
  * jobs, and end-to-end determinism of concurrent sweeps — results
- * and serialized JSON byte-identical to the serial executor across
- * worker counts and repeated runs.
+ * and serialized JSON byte-identical to one worker across worker
+ * counts and repeated runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <set>
 #include <sstream>
+#include <thread>
 
 #include "driver/Driver.hh"
 
@@ -21,41 +24,48 @@ namespace
 
 // ------------------------------------------------ synthetic jobs
 
-TEST(ThreadPoolExecutor, RunsEveryJobExactlyOnce)
+TEST(RunJobs, RunsEveryJobExactlyOnce)
 {
     for (std::uint32_t workers : {1u, 2u, 7u, 32u}) {
-        ThreadPoolExecutor ex(workers);
-        EXPECT_EQ(ex.workers(), workers);
         constexpr std::size_t n = 64;
         std::vector<std::atomic<int>> hits(n);
         std::vector<std::function<void()>> jobs;
         for (std::size_t i = 0; i < n; ++i)
             jobs.push_back([&hits, i] { ++hits[i]; });
-        ex.run(std::move(jobs));
+        runJobs(workers, std::move(jobs));
         for (std::size_t i = 0; i < n; ++i)
             EXPECT_EQ(hits[i].load(), 1) << "job " << i;
     }
 }
 
-TEST(ThreadPoolExecutor, ZeroWorkersMeansHardwareParallelism)
+TEST(RunJobs, ZeroWorkersMeansHardwareParallelism)
 {
-    ThreadPoolExecutor ex(0);
-    EXPECT_EQ(ex.workers(), hardwareParallelism());
-    EXPECT_GE(ex.workers(), 1u);
+    EXPECT_GE(hardwareParallelism(), 1u);
+    std::mutex m;
+    std::set<std::thread::id> threads;
+    std::atomic<int> ran{0};
+    std::vector<std::function<void()>> jobs;
+    for (int i = 0; i < 64; ++i)
+        jobs.push_back([&] {
+            ++ran;
+            std::lock_guard<std::mutex> lock(m);
+            threads.insert(std::this_thread::get_id());
+        });
+    runJobs(0, std::move(jobs));
+    EXPECT_EQ(ran.load(), 64);
+    EXPECT_LE(threads.size(), hardwareParallelism());
 }
 
-TEST(ThreadPoolExecutor, EmptyBatchIsANoOp)
+TEST(RunJobs, EmptyBatchIsANoOp)
 {
-    ThreadPoolExecutor ex(4);
-    ex.run({});
+    runJobs(4, {});
 }
 
-TEST(ThreadPoolExecutor, PropagatesLowestIndexedFailure)
+TEST(RunJobs, PropagatesLowestIndexedFailure)
 {
-    // Jobs 3 and 9 fail; the pool must surface job 3's exception,
-    // exactly as SerialExecutor would.
+    // Jobs 3 and 9 fail; every worker count must surface job 3's
+    // exception, exactly as the in-order run does.
     for (std::uint32_t workers : {1u, 4u}) {
-        ThreadPoolExecutor ex(workers);
         std::vector<std::function<void()>> jobs;
         for (std::size_t i = 0; i < 12; ++i)
             jobs.push_back([i] {
@@ -63,7 +73,7 @@ TEST(ThreadPoolExecutor, PropagatesLowestIndexedFailure)
                     fatal("job " + std::to_string(i) + " failed");
             });
         try {
-            ex.run(std::move(jobs));
+            runJobs(workers, std::move(jobs));
             FAIL() << "expected FatalError";
         } catch (const FatalError &e) {
             EXPECT_NE(std::string(e.what()).find("job 3 failed"),
@@ -73,25 +83,24 @@ TEST(ThreadPoolExecutor, PropagatesLowestIndexedFailure)
     }
 }
 
-TEST(ThreadPoolExecutor, PropagatesPanicToo)
+TEST(RunJobs, PropagatesPanicToo)
 {
-    ThreadPoolExecutor ex(4);
     std::vector<std::function<void()>> jobs;
     jobs.push_back([] { panic("invariant broke"); });
-    EXPECT_THROW(ex.run(std::move(jobs)), PanicError);
+    jobs.push_back([] {});
+    EXPECT_THROW(runJobs(4, std::move(jobs)), PanicError);
 }
 
-TEST(ThreadPoolExecutor, StopsDispatchingAfterAFailure)
+TEST(RunJobs, StopsDispatchingAfterAFailure)
 {
     // With one worker the queue drains in order, so nothing past
     // the failing job may run.
-    ThreadPoolExecutor ex(1);
     std::atomic<int> ran{0};
     std::vector<std::function<void()>> jobs;
     jobs.push_back([&ran] { ++ran; });
     jobs.push_back([] { fatal("boom"); });
     jobs.push_back([&ran] { ++ran; });
-    EXPECT_THROW(ex.run(std::move(jobs)), FatalError);
+    EXPECT_THROW(runJobs(1, std::move(jobs)), FatalError);
     EXPECT_EQ(ran.load(), 1);
 }
 
@@ -108,7 +117,7 @@ smallSweep()
     return sweep;
 }
 
-/** Fields that must match bit-for-bit across executors. */
+/** Fields that must match bit-for-bit across worker counts. */
 void
 expectSameResults(const std::vector<ExperimentResult> &a,
                   const std::vector<ExperimentResult> &b)
@@ -125,13 +134,12 @@ expectSameResults(const std::vector<ExperimentResult> &a,
     }
 }
 
-TEST(ThreadPoolExecutor, SweepMatchesSerialExecutor)
+TEST(RunJobs, SweepMatchesOneWorker)
 {
     SweepRunner serial;
     const auto expect = serial.run(smallSweep());
 
-    ThreadPoolExecutor pool(4);
-    SweepRunner concurrent(WorkloadRegistry::global(), &pool);
+    SweepRunner concurrent(WorkloadRegistry::global(), 4);
     const auto got = concurrent.run(smallSweep());
     expectSameResults(expect, got);
 
@@ -140,58 +148,28 @@ TEST(ThreadPoolExecutor, SweepMatchesSerialExecutor)
     expectSameResults(expect, again);
 }
 
-TEST(ThreadPoolExecutor, OneWorkerMatchesSerialExecutor)
+TEST(RunJobs, AutoWorkersMatchOneWorker)
 {
     SweepRunner serial;
     const auto expect = serial.run(smallSweep());
 
-    ThreadPoolExecutor pool(1);
-    SweepRunner one(WorkloadRegistry::global(), &pool);
-    expectSameResults(expect, one.run(smallSweep()));
+    SweepRunner hw(WorkloadRegistry::global(), 0);
+    expectSameResults(expect, hw.run(smallSweep()));
 }
 
-TEST(ThreadPoolExecutor, JsonExportByteIdenticalAcrossWorkerCounts)
+TEST(RunJobs, JsonExportByteIdenticalAcrossWorkerCounts)
 {
-    auto render = [](Executor *ex) {
-        SweepRunner runner(WorkloadRegistry::global(), ex);
+    auto render = [](std::uint32_t workers) {
+        SweepRunner runner(WorkloadRegistry::global(), workers);
         std::ostringstream os;
         const auto sink = makeResultSink(ResultFormat::Json, os);
         runner.run(smallSweep(), sink.get(), "determinism");
         return os.str();
     };
-    const std::string serial = render(nullptr);
-    ThreadPoolExecutor pool4(4);
-    EXPECT_EQ(serial, render(&pool4));
-    ThreadPoolExecutor pool2(2);
-    EXPECT_EQ(serial, render(&pool2));
+    const std::string serial = render(1);
+    EXPECT_EQ(serial, render(4));
+    EXPECT_EQ(serial, render(2));
     EXPECT_FALSE(serial.empty());
-}
-
-TEST(SweepRunner, SetExecutorSwapsBackend)
-{
-    struct CountingExecutor final : Executor
-    {
-        std::size_t batches = 0;
-        void
-        run(std::vector<std::function<void()>> jobs) override
-        {
-            ++batches;
-            for (auto &j : jobs)
-                j();
-        }
-    };
-    CountingExecutor ex;
-    SweepRunner runner;
-    runner.setExecutor(&ex);
-    SweepSpec sweep;
-    sweep.workloads = {"EP"};
-    sweep.coreCounts = {4};
-    sweep.scales = {0.25};
-    runner.run(sweep);
-    EXPECT_EQ(ex.batches, 1u);
-    runner.setExecutor(nullptr);  // back to built-in serial
-    runner.run(sweep);
-    EXPECT_EQ(ex.batches, 1u);
 }
 
 } // namespace

@@ -75,22 +75,6 @@ TEST(Mesh, ContentionDelaysBackToBackPackets)
     eq.run();
 }
 
-TEST(Mesh, NoContentionModeStillPreservesP2POrder)
-{
-    EventQueue eq;
-    MeshParams p;
-    p.modelContention = false;
-    Mesh m(p);
-    const Tick t1 = m.send(eq, 0, 1, TrafficClass::Read,
-                           dataPacketBytes, nullptr);
-    // Without link contention the second packet is not serialized
-    // behind the first, but point-to-point ordering still holds.
-    const Tick t2 = m.send(eq, 0, 1, TrafficClass::Read,
-                           dataPacketBytes, nullptr);
-    EXPECT_EQ(t2, t1 + 1);
-    eq.run();
-}
-
 TEST(Mesh, PointToPointOrderAcrossPacketSizes)
 {
     EventQueue eq;

@@ -374,14 +374,14 @@ TEST(PipelineWorkload, PerPhaseStatsExported)
 /** JSON sweep output for @p ex, flat (CG) and phase-graph
  *  (pipeline) workloads together. */
 std::string
-runSweepJson(Executor *ex)
+runSweepJson(std::uint32_t jobs)
 {
     SweepSpec sweep;
     sweep.workloads = {"CG", "pipeline"};
     sweep.modes = {SystemMode::CacheOnly, SystemMode::HybridProto};
     sweep.coreCounts = {8};
     sweep.scales = {0.5};
-    SweepRunner runner(WorkloadRegistry::global(), ex);
+    SweepRunner runner(WorkloadRegistry::global(), jobs);
     std::ostringstream os;
     const auto sink = makeResultSink(ResultFormat::Json, os, false);
     runner.run(sweep, sink.get(), "phase-graph determinism");
@@ -390,60 +390,11 @@ runSweepJson(Executor *ex)
 
 TEST(PhaseGraphExecution, JsonByteIdenticalAcrossWorkers)
 {
-    const std::string serial = runSweepJson(nullptr);
-    ThreadPoolExecutor pool(4);
-    const std::string threaded = runSweepJson(&pool);
+    const std::string serial = runSweepJson(1);
+    const std::string threaded = runSweepJson(4);
     EXPECT_EQ(serial, threaded);
     EXPECT_NE(serial.find("\"workload\":\"pipeline\""),
               std::string::npos);
-}
-
-// ------------------------------------- MC bandwidth scaling
-
-TEST(McBandwidthScaling, ScaledSystemIsFasterWhenBandwidthBound)
-{
-    // A stream-heavy workload against deliberately slow controllers
-    // (16-cycle line occupancy) so memory bandwidth is the
-    // bottleneck. 128 cores keep 4 controllers, so the scaling
-    // option doubles each controller's bandwidth: same memory work,
-    // strictly fewer cycles.
-    const auto run = [](bool scaled) {
-        return ExperimentBuilder()
-            .workload("stencil")
-            .mode(SystemMode::HybridProto)
-            .cores(128)
-            .scale(0.25)
-            .tweak([scaled](SystemParams &p) {
-                p.mc.serviceCycles = 16;
-                p.scaleMcBandwidth = scaled;
-            })
-            .run()
-            .results;
-    };
-    const RunResults off = run(false);
-    const RunResults on = run(true);
-    // Same program: identical instruction and DMA work (memLines
-    // shift slightly with prefetch timing), strictly fewer cycles.
-    EXPECT_EQ(on.counters.instructions, off.counters.instructions);
-    EXPECT_EQ(on.counters.dmaLines, off.counters.dmaLines);
-    EXPECT_LT(on.cycles, off.cycles);
-}
-
-TEST(McBandwidthScaling, DefaultOffMatchesLegacyTiming)
-{
-    const auto run = [](bool tweaked) {
-        ExperimentBuilder b;
-        b.workload("CG")
-            .mode(SystemMode::HybridProto)
-            .cores(8)
-            .scale(0.5);
-        if (tweaked)
-            b.tweak([](SystemParams &p) {
-                p.scaleMcBandwidth = false;
-            });
-        return b.run().results.cycles;
-    };
-    EXPECT_EQ(run(false), run(true));
 }
 
 } // namespace

@@ -160,6 +160,51 @@ TEST(SystemGuards, FatalWhenMcTileOutsideMesh)
     EXPECT_THROW(System s(p), FatalError);
 }
 
+TEST(SystemGuards, FatalOnZeroSizedStructure)
+{
+    // Each of these crashed (SIGSEGV, SIGFPE or a panic) before the
+    // System rejected it by name.
+    const std::vector<
+        std::pair<const char *, std::function<void(SystemParams &)>>>
+        zeroed = {
+            {"core.issueWidth",
+             [](SystemParams &p) { p.core.issueWidth = 0; }},
+            {"mesh.flitBytes",
+             [](SystemParams &p) { p.mesh.flitBytes = 0; }},
+            {"l1d.ways", [](SystemParams &p) { p.l1d.ways = 0; }},
+            {"l1i.ways", [](SystemParams &p) { p.l1i.ways = 0; }},
+            {"l1d.prefetcher.tableEntries",
+             [](SystemParams &p) { p.l1d.prefetcher.tableEntries = 0; }},
+            {"dir.l2Ways", [](SystemParams &p) { p.dir.l2Ways = 0; }},
+            {"dir.dirWays", [](SystemParams &p) { p.dir.dirWays = 0; }},
+            {"tlb.entries", [](SystemParams &p) { p.tlb.entries = 0; }},
+            {"tlb.pageBytes",
+             [](SystemParams &p) { p.tlb.pageBytes = 0; }},
+            {"coh.filterEntries",
+             [](SystemParams &p) { p.coh.filterEntries = 0; }},
+            {"coh.spmDirEntries",
+             [](SystemParams &p) { p.coh.spmDirEntries = 0; }},
+            {"filterDir.entriesPerSlice",
+             [](SystemParams &p) { p.filterDir.entriesPerSlice = 0; }},
+        };
+    for (const auto &[name, zero] : zeroed) {
+        SCOPED_TRACE(name);
+        try {
+            ExperimentBuilder()
+                .workload("CG")
+                .cores(4)
+                .scale(0.25)
+                .tweak(zero)
+                .run();
+            ADD_FAILURE() << "expected FatalError";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(name),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 // -------------------------------------------- experiment wiring
 
 TEST(ExperimentTopology, OverrideCoresMismatchErrors)
@@ -210,14 +255,14 @@ TEST(ExperimentTopology, UntileableCoreCountIsACollectedError)
 // ------------------------------- 128-core export determinism
 
 std::string
-runSweepJson(Executor *ex)
+runSweepJson(std::uint32_t jobs)
 {
     SweepSpec sweep;
     sweep.workloads = {"CG"};
     sweep.modes = {SystemMode::CacheOnly, SystemMode::HybridProto};
     sweep.coreCounts = {128};
     sweep.scales = {0.1};
-    SweepRunner runner(WorkloadRegistry::global(), ex);
+    SweepRunner runner(WorkloadRegistry::global(), jobs);
     std::ostringstream os;
     const auto sink = makeResultSink(ResultFormat::Json, os, false);
     runner.run(sweep, sink.get(), "128-core determinism");
@@ -226,9 +271,8 @@ runSweepJson(Executor *ex)
 
 TEST(ExperimentTopology, LargeMeshJsonByteIdenticalAcrossWorkers)
 {
-    const std::string serial = runSweepJson(nullptr);
-    ThreadPoolExecutor pool(4);
-    const std::string threaded = runSweepJson(&pool);
+    const std::string serial = runSweepJson(1);
+    const std::string threaded = runSweepJson(4);
     EXPECT_EQ(serial, threaded);
     EXPECT_NE(serial.find("\"cores\":128"), std::string::npos);
     EXPECT_NE(serial.find("\"meshWidth\":16"), std::string::npos);
