@@ -1,24 +1,24 @@
 /**
  * @file
  * Shared scaffolding for the figure/table harnesses, built on the
- * experiment driver API. Each harness declares a SweepSpec, runs it
- * through a SweepRunner, and either renders its figure-shaped table
+ * experiment driver API. A sweeping harness runs its SweepSpecs
+ * through a SweepRunner, and either renders its figure-shaped tables
  * (default) or streams the structured results through a CSV/JSON
- * ResultSink when invoked with --format=csv or --format=json.
+ * ResultSink when invoked with --format=csv or --format=json. Flags
+ * are parsed with the driver CLI's value rules (driver/Cli.hh).
  */
 
 #ifndef SPMCOH_BENCH_BENCHUTIL_HH
 #define SPMCOH_BENCH_BENCHUTIL_HH
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "driver/Cli.hh"
 #include "driver/Driver.hh"
 #include "workloads/NasBenchmarks.hh"
 
@@ -63,61 +63,69 @@ struct BenchMain
     }
 };
 
+/** Print every collected flag error to stderr and exit 2 when there
+ *  is one. */
+inline void
+exitOnErrors(const char *prog, const std::vector<std::string> &errs)
+{
+    if (errs.empty())
+        return;
+    std::fprintf(stderr, "%s: invalid invocation:\n", prog);
+    for (const std::string &e : errs)
+        std::fprintf(stderr, "  - %s\n", e.c_str());
+    std::fprintf(stderr, "(run with --help for usage)\n");
+    std::exit(2);
+}
+
 /**
- * Parse --format=table|csv|json, --jobs=N (N worker threads for the
- * sweep points, 'auto' = hardware threads) and --help. @p desc is
- * the one-line harness description shown by --help. Exits on bad
- * args.
+ * Parse --format=table|csv|json, --jobs=N|auto (N worker threads
+ * for the sweep points, 'auto' = hardware threads) and --help with
+ * the driver CLI's value rules. @p desc is the one-line harness
+ * description shown by --help. Exits 2 on bad args.
  */
 inline BenchMain
-parseArgs(int argc, char **argv, const char *desc = nullptr)
+parseArgs(int argc, char **argv, const char *desc)
 {
     BenchMain bm;
     std::uint32_t jobs = 1;
+    std::vector<std::string> errs;
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--format=", 9) == 0) {
-            const auto f = resultFormatFromName(arg + 9);
-            if (!f) {
-                std::fprintf(stderr,
-                             "unknown format '%s' (expected "
-                             "table, csv or json)\n", arg + 9);
-                std::exit(2);
-            }
-            bm.format = *f;
-        } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            if (std::strcmp(arg + 7, "auto") == 0) {
-                jobs = 0;
-            } else {
-                char *end = nullptr;
-                const unsigned long v =
-                    std::strtoul(arg + 7, &end, 10);
-                // strtoul accepts (and wraps) a leading '-'.
-                if (v == 0 || *end != '\0' ||
-                    v > std::numeric_limits<std::uint32_t>::max() ||
-                    !std::isdigit(
-                        static_cast<unsigned char>(arg[7]))) {
-                    std::fprintf(stderr,
-                                 "bad job count '%s' (expected a "
-                                 "positive integer or 'auto')\n",
-                                 arg + 7);
-                    std::exit(2);
-                }
-                jobs = static_cast<std::uint32_t>(v);
-            }
-        } else if (std::strcmp(arg, "--help") == 0) {
-            if (desc)
-                std::printf("%s\n", desc);
-            std::printf("usage: %s [--format=table|csv|json] "
-                        "[--jobs=N|auto]\n", argv[0]);
+        const std::string arg = argv[i];
+        std::optional<std::string> v;
+        if ((v = flagValue(arg, "--format"))) {
+            if (const auto f = parseFormatFlag(*v, errs))
+                bm.format = *f;
+        } else if ((v = flagValue(arg, "--jobs"))) {
+            if (const auto n = parseJobsFlag(*v, errs))
+                jobs = *n;
+        } else if (arg == "--help") {
+            std::printf("%s\nusage: %s [--format=table|csv|json] "
+                        "[--jobs=N|auto]\n", desc, argv[0]);
             std::exit(0);
         } else {
-            std::fprintf(stderr, "unknown argument '%s'\n", arg);
-            std::exit(2);
+            errs.push_back("unknown argument '" + arg + "'");
         }
     }
+    exitOnErrors(argv[0], errs);
     bm.runner = SweepRunner(WorkloadRegistry::global(), jobs);
     return bm;
+}
+
+/** Argument handling of the harnesses that run no sweep: --help
+ *  prints @p desc, any other argument exits 2. */
+inline void
+parseHelpOnly(int argc, char **argv, const char *desc)
+{
+    std::vector<std::string> errs;
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) == "--help") {
+            std::printf("%s\nusage: %s\n", desc, argv[0]);
+            std::exit(0);
+        }
+        errs.push_back("unknown argument '" + std::string(argv[i]) +
+                       "'");
+    }
+    exitOnErrors(argv[0], errs);
 }
 
 /** The standard evaluation sweep: all NAS benchmarks x @p modes. */

@@ -19,13 +19,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <thread>
 
-#include "driver/Driver.hh"
+#include "BenchUtil.hh"
 #include "driver/Json.hh"
 
 #ifndef SPMCOH_BUILD_TYPE
@@ -46,20 +45,8 @@ struct Sample
 };
 
 Sample
-measure(const std::string &workload, std::uint32_t reps,
-        std::uint32_t cores, std::uint32_t chips,
-        std::uint32_t sim_threads, Tick sim_window,
-        Tick sim_window_max)
+measure(const ExperimentSpec &spec, std::uint32_t reps)
 {
-    ExperimentBuilder b = ExperimentBuilder()
-                              .workload(workload)
-                              .mode(SystemMode::HybridProto)
-                              .cores(cores)
-                              .chips(chips)
-                              .simThreads(sim_threads);
-    if (sim_window > 0 || sim_window_max > 0)
-        b.simWindow(sim_window, sim_window_max);
-    const ExperimentSpec spec = b.spec();
     runExperiment(spec);  // warm-up: page in code + allocator state
     double best_ms = 0.0;
     std::uint64_t cycles = 0;
@@ -97,62 +84,41 @@ main(int argc, char **argv)
     std::uint32_t cores = 8;
     std::uint32_t chips = 1;
     std::uint32_t sim_threads = 0;
-    Tick sim_window = 0;
-    Tick sim_window_max = 0;
+    std::optional<SimWindowSetting> window;
     std::string out_file;
+    std::vector<std::string> errs;
+    // A count flag: a 32-bit integer of at least @p min.
+    const auto count = [&errs](const std::string &flag,
+                               const std::string &v, std::uint32_t min,
+                               std::uint32_t &out) {
+        const auto n = parseUint32(v);
+        if (!n || *n < min)
+            errs.push_back("bad " + flag + " value '" + v +
+                           "' (expected an integer >= " +
+                           std::to_string(min) + ")");
+        else
+            out = *n;
+    };
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--reps=", 7) == 0) {
-            const long v = std::strtol(arg + 7, nullptr, 10);
-            if (v < 1) {
-                std::fprintf(stderr, "bad rep count '%s'\n",
-                             arg + 7);
-                return 2;
-            }
-            reps = static_cast<std::uint32_t>(v);
-        } else if (std::strncmp(arg, "--cores=", 8) == 0) {
-            const long v = std::strtol(arg + 8, nullptr, 10);
-            if (v < 1) {
-                std::fprintf(stderr, "bad core count '%s'\n",
-                             arg + 8);
-                return 2;
-            }
-            cores = static_cast<std::uint32_t>(v);
-        } else if (std::strncmp(arg, "--chips=", 8) == 0) {
-            const long v = std::strtol(arg + 8, nullptr, 10);
-            if (v < 1) {
-                std::fprintf(stderr, "bad chip count '%s'\n",
-                             arg + 8);
-                return 2;
-            }
-            chips = static_cast<std::uint32_t>(v);
-        } else if (std::strncmp(arg, "--sim-threads=", 14) == 0) {
-            const long v = std::strtol(arg + 14, nullptr, 10);
-            if (v < 0) {
-                std::fprintf(stderr, "bad sim-thread count '%s'\n",
-                             arg + 14);
-                return 2;
-            }
-            sim_threads = static_cast<std::uint32_t>(v);
-        } else if (std::strncmp(arg, "--sim-window=", 13) == 0) {
-            if (std::strcmp(arg + 13, "auto") == 0) {
-                // Mirror the driver CLI: adaptive window, model-
-                // default base, 128-tick ceiling.
-                sim_window = 0;
-                sim_window_max = 128;
-            } else {
-                const long v = std::strtol(arg + 13, nullptr, 10);
-                if (v < 1) {
-                    std::fprintf(stderr, "bad sim-window '%s'\n",
-                                 arg + 13);
-                    return 2;
-                }
-                sim_window = static_cast<Tick>(v);
-                sim_window_max = 0;
-            }
-        } else if (std::strncmp(arg, "--out=", 6) == 0) {
-            out_file = arg + 6;
-        } else if (std::strcmp(arg, "--help") == 0) {
+        const std::string arg = argv[i];
+        std::optional<std::string> v;
+        if ((v = flagValue(arg, "--reps"))) {
+            count("--reps", *v, 1, reps);
+        } else if ((v = flagValue(arg, "--cores"))) {
+            count("--cores", *v, 1, cores);
+        } else if ((v = flagValue(arg, "--chips"))) {
+            count("--chips", *v, 1, chips);
+        } else if ((v = flagValue(arg, "--sim-threads"))) {
+            count("--sim-threads", *v, 0, sim_threads);
+        } else if ((v = flagValue(arg, "--sim-window"))) {
+            if (const auto w = parseSimWindowFlag(*v, errs))
+                window = w;
+        } else if ((v = flagValue(arg, "--out"))) {
+            if (v->empty())
+                errs.push_back("--out needs a file name");
+            else
+                out_file = *v;
+        } else if (arg == "--help") {
             std::printf("simulator wall-clock per simulated cycle "
                         "on fixed CG/pipeline experiments\n"
                         "usage: %s [--reps=N] [--cores=N] "
@@ -161,12 +127,30 @@ main(int argc, char **argv)
                         argv[0]);
             return 0;
         } else {
-            std::fprintf(stderr, "unknown argument '%s'\n", arg);
-            return 2;
+            errs.push_back("unknown argument '" + arg + "'");
         }
     }
+    if (window)
+        checkSimWindowThreads(sim_threads, errs);
+    benchutil::exitOnErrors(argv[0], errs);
+    const SimWindowSetting win = window.value_or(SimWindowSetting{});
 
     try {
+        // Build and validate both experiments before the first byte
+        // of output, so a bad shape never leaves half a document.
+        std::vector<ExperimentSpec> specs;
+        for (const char *wl : {"CG", "pipeline"}) {
+            ExperimentBuilder b = ExperimentBuilder()
+                                      .workload(wl)
+                                      .mode(SystemMode::HybridProto)
+                                      .cores(cores)
+                                      .chips(chips)
+                                      .simThreads(sim_threads);
+            if (window)
+                b.simWindow(win.window, win.windowMax);
+            specs.push_back(b.spec());
+        }
+
         std::ofstream file;
         if (!out_file.empty()) {
             file.open(out_file);
@@ -199,13 +183,11 @@ main(int argc, char **argv)
         w.key("hostThreads").value(std::uint64_t{hw ? hw : 1});
         // Epoch window shape (partitioned runs): base width (0 =
         // model default) and adaptive ceiling (0 = fixed window).
-        w.key("simWindow").value(std::uint64_t{sim_window});
-        w.key("simWindowMax").value(std::uint64_t{sim_window_max});
+        w.key("simWindow").value(std::uint64_t{win.window});
+        w.key("simWindowMax").value(std::uint64_t{win.windowMax});
         w.key("experiments").beginArray();
-        for (const char *wl : {"CG", "pipeline"}) {
-            const Sample s =
-                measure(wl, reps, cores, chips, sim_threads,
-                        sim_window, sim_window_max);
+        for (const ExperimentSpec &spec : specs) {
+            const Sample s = measure(spec, reps);
             w.beginObject();
             w.key("name").value(s.name);
             w.key("simCycles").value(s.simCycles);

@@ -3,7 +3,8 @@
  * Table 1 reproduction: print the simulated machine configuration
  * and verify the constructed system honors it. The configuration is
  * resolved through the experiment builder, so what is printed is
- * exactly what every figure harness runs.
+ * exactly what every figure harness runs (the same fields appear in
+ * the "params" block of each sweep point's JSON export).
  */
 
 #include <cstdio>
@@ -17,9 +18,9 @@ using namespace spmcoh::benchutil;
 int
 main(int argc, char **argv)
 {
-    BenchMain bm = parseArgs(
+    parseHelpOnly(
         argc, argv,
-        "Table 1: simulated machine configuration dump (no runs)");
+        "Table 1: simulated machine configuration (no runs)");
 
     const ExperimentSpec spec = ExperimentBuilder()
                                     .workload("CG")
@@ -28,30 +29,6 @@ main(int argc, char **argv)
                                     .spec();
     const SystemParams p = spec.resolvedParams();
     System sys(p);
-
-    if (!bm.table()) {
-        // The machine description is a config dump, not a run;
-        // export the headline parameters in the requested format.
-        if (bm.format == ResultFormat::Json) {
-            std::printf("{\"cores\": %u, \"mode\": \"%s\", "
-                        "\"spmBytes\": %u, \"l1dBytes\": %u, "
-                        "\"filterEntries\": %u, \"mesh\": [%u, %u]}"
-                        "\n",
-                        p.numCores, systemModeName(p.mode),
-                        p.spmBytes, p.l1d.sizeBytes,
-                        p.coh.filterEntries, p.mesh.width,
-                        p.mesh.height);
-        } else {
-            std::printf("cores,mode,spmBytes,l1dBytes,"
-                        "filterEntries,meshWidth,meshHeight\n"
-                        "%u,%s,%u,%u,%u,%u,%u\n",
-                        p.numCores, systemModeName(p.mode),
-                        p.spmBytes, p.l1d.sizeBytes,
-                        p.coh.filterEntries, p.mesh.width,
-                        p.mesh.height);
-        }
-        return 0;
-    }
 
     std::printf("==== Table 1: main simulator parameters ====\n");
     std::printf("%-16s %u cores, out-of-order, %u instructions wide, "

@@ -40,11 +40,10 @@ prettyBytes(std::uint64_t b)
 int
 main(int argc, char **argv)
 {
-    BenchMain bm = parseArgs(
+    parseHelpOnly(
         argc, argv,
         "Table 2: workload model characterization vs the paper's "
         "reported structure (no simulation runs)");
-    (void)bm;
 
     std::printf("==== Table 2: benchmarks and memory access "
                 "characterization ====\n");

@@ -5,6 +5,7 @@
 
 #include "driver/Cli.hh"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
@@ -126,29 +127,19 @@ cliUsage(const std::string &prog)
 namespace
 {
 
-/** Parse a whole-string unsigned integer; nullopt when malformed. */
+/** Parse a whole-string unsigned integer; nullopt when malformed.
+ *  strtoull alone would accept (and wrap) a sign or leading blanks. */
 std::optional<std::uint64_t>
 parseUint(const std::string &s)
 {
-    if (s.empty())
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
         return std::nullopt;
     errno = 0;
     char *end = nullptr;
     const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size() || s[0] == '-')
+    if (errno != 0 || end != s.c_str() + s.size())
         return std::nullopt;
     return v;
-}
-
-/** parseUint for flags that land in a std::uint32_t: a value past
- *  32 bits is malformed, never silently wrapped. */
-std::optional<std::uint32_t>
-parseUint32(const std::string &s)
-{
-    const auto v = parseUint(s);
-    if (!v || *v > std::numeric_limits<std::uint32_t>::max())
-        return std::nullopt;
-    return static_cast<std::uint32_t>(*v);
 }
 
 /** Parse a whole-string double; nullopt when malformed. */
@@ -187,7 +178,8 @@ emptyListFlag(const std::string &arg)
     return std::nullopt;
 }
 
-/** Value of "--flag=value" when @p arg starts with "--flag=". */
+} // namespace
+
 std::optional<std::string>
 flagValue(const std::string &arg, const std::string &flag)
 {
@@ -197,7 +189,63 @@ flagValue(const std::string &arg, const std::string &flag)
     return arg.substr(prefix.size());
 }
 
-} // namespace
+std::optional<std::uint32_t>
+parseUint32(const std::string &s)
+{
+    const auto v = parseUint(s);
+    if (!v || *v > std::numeric_limits<std::uint32_t>::max())
+        return std::nullopt;
+    return static_cast<std::uint32_t>(*v);
+}
+
+std::optional<std::uint32_t>
+parseJobsFlag(const std::string &v, std::vector<std::string> &errs)
+{
+    if (v == "auto")
+        return 0;
+    const auto n = parseUint32(v);
+    if (!n || *n == 0) {
+        errs.push_back("bad job count '" + v + "' (--jobs expects a "
+                       "positive integer or 'auto')");
+        return std::nullopt;
+    }
+    return n;
+}
+
+std::optional<ResultFormat>
+parseFormatFlag(const std::string &v, std::vector<std::string> &errs)
+{
+    const auto f = resultFormatFromName(v);
+    if (!f)
+        errs.push_back("unknown format '" + v + "' (--format "
+                       "expects table, csv or json)");
+    return f;
+}
+
+std::optional<SimWindowSetting>
+parseSimWindowFlag(const std::string &v, std::vector<std::string> &errs)
+{
+    // Adaptive: base width stays at the model default; quiet epochs
+    // double it up to a bounded 128-tick ceiling.
+    if (v == "auto")
+        return SimWindowSetting{0, 128};
+    const auto n = parseUint(v);
+    if (!n || *n == 0) {
+        errs.push_back("bad sim-window width '" + v + "' (--sim-window "
+                       "expects a positive tick count or 'auto')");
+        return std::nullopt;
+    }
+    return SimWindowSetting{static_cast<Tick>(*n), 0};
+}
+
+void
+checkSimWindowThreads(std::uint32_t simThreads,
+                      std::vector<std::string> &errs)
+{
+    if (simThreads == 0)
+        errs.push_back("--sim-window configures the partitioned "
+                       "core; add --sim-threads=N (N >= 1)");
+}
 
 CliOptions
 parseCli(const std::vector<std::string> &args,
@@ -211,8 +259,6 @@ parseCli(const std::vector<std::string> &args,
         wparamAxes;
     bool sawWorkload = false;
     bool sawSimWindow = false;
-    /** --sim-window=auto ceiling (ISSUE 10: bounded, 128 ticks). */
-    constexpr Tick autoSimWindowMax = 128;
 
     opt.sweep.modes.clear();
     opt.sweep.coreCounts.clear();
@@ -359,17 +405,8 @@ parseCli(const std::vector<std::string> &args,
                                    "' (expected on or off)");
             }
         } else if ((v = flagValue(arg, "--jobs"))) {
-            if (*v == "auto") {
-                opt.jobs = 0;
-            } else {
-                const auto n = parseUint32(*v);
-                if (!n || *n == 0)
-                    errs.push_back("bad job count '" + *v +
-                                   "' (expected a positive integer "
-                                   "or 'auto')");
-                else
-                    opt.jobs = *n;
-            }
+            if (const auto n = parseJobsFlag(*v, errs))
+                opt.jobs = *n;
         } else if ((v = flagValue(arg, "--sim-threads"))) {
             if (*v == "auto") {
                 // The System clamps to its region count, so "all
@@ -386,31 +423,13 @@ parseCli(const std::vector<std::string> &args,
                     opt.sweep.simThreads = *n;
             }
         } else if ((v = flagValue(arg, "--sim-window"))) {
-            if (*v == "auto") {
-                // Adaptive: base width stays at the model default;
-                // quiet epochs double it up to the ceiling.
-                opt.sweep.simWindow = 0;
-                opt.sweep.simWindowMax = autoSimWindowMax;
+            if (const auto w = parseSimWindowFlag(*v, errs)) {
+                opt.sweep.simWindow = w->window;
+                opt.sweep.simWindowMax = w->windowMax;
                 sawSimWindow = true;
-            } else {
-                const auto n = parseUint(*v);
-                if (!n || *n == 0)
-                    errs.push_back(
-                        "bad sim-window width '" + *v +
-                        "' (expected a positive tick count or "
-                        "'auto')");
-                else {
-                    opt.sweep.simWindow = static_cast<Tick>(*n);
-                    opt.sweep.simWindowMax = 0;
-                    sawSimWindow = true;
-                }
             }
         } else if ((v = flagValue(arg, "--format"))) {
-            const auto f = resultFormatFromName(*v);
-            if (!f)
-                errs.push_back("unknown format '" + *v +
-                               "' (expected table, csv or json)");
-            else
+            if (const auto f = parseFormatFlag(*v, errs))
                 opt.format = *f;
         } else if ((v = flagValue(arg, "--out"))) {
             if (v->empty())
@@ -431,9 +450,8 @@ parseCli(const std::vector<std::string> &args,
         errs.push_back("no workload set (use --workload=NAME, or "
                        "--workload=all)");
 
-    if (sawSimWindow && opt.sweep.simThreads == 0)
-        errs.push_back("--sim-window configures the partitioned "
-                       "core; add --sim-threads=N (N >= 1)");
+    if (sawSimWindow)
+        checkSimWindowThreads(opt.sweep.simThreads, errs);
 
     if (opt.sweep.farMemLat > 0) {
         // expand() drops the far tier from single-chip points, so a

@@ -51,7 +51,12 @@ System::System(const SystemParams &p_)
           {"tlb.pageBytes", p.tlb.pageBytes},
           {"coh.filterEntries", p.coh.filterEntries},
           {"coh.spmDirEntries", p.coh.spmDirEntries},
-          {"filterDir.entriesPerSlice", p.filterDir.entriesPerSlice}})
+          {"filterDir.entriesPerSlice", p.filterDir.entriesPerSlice},
+          {"l1d.mshrs", p.l1d.mshrs},
+          {"core.lqEntries", p.core.lqEntries},
+          {"core.sqEntries", p.core.sqEntries},
+          {"dmac.cmdQueueEntries", p.dmac.cmdQueueEntries},
+          {"dmac.maxInflight", p.dmac.maxInflight}})
         if (n == 0)
             fatal(std::string("System: ") + name + " must be >= 1");
     fabric.ideal = p.mode == SystemMode::HybridIdeal;

@@ -198,6 +198,85 @@ TEST(Cli, RejectsCountsPast32Bits)
               4294967295u);
 }
 
+TEST(CliRules, FlagValue)
+{
+    EXPECT_EQ(flagValue("--jobs=4", "--jobs"), "4");
+    EXPECT_EQ(flagValue("--jobs=", "--jobs"), "");
+    EXPECT_FALSE(flagValue("--jobs", "--jobs"));
+    EXPECT_FALSE(flagValue("--jobsx=4", "--jobs"));
+    EXPECT_FALSE(flagValue("--format=json", "--jobs"));
+}
+
+TEST(CliRules, ParseUint32)
+{
+    EXPECT_EQ(parseUint32("0"), 0u);
+    EXPECT_EQ(parseUint32("8"), 8u);
+    EXPECT_EQ(parseUint32("4294967295"), 4294967295u);
+    // Past 32 bits is malformed, never wrapped (4294967304 ran 8).
+    EXPECT_FALSE(parseUint32("4294967296"));
+    EXPECT_FALSE(parseUint32("4294967304"));
+    for (const char *bad : {"", "abc", "1x", "-1", " 1", "1.5"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(parseUint32(bad));
+    }
+}
+
+TEST(CliRules, JobsFlag)
+{
+    std::vector<std::string> errs;
+    EXPECT_EQ(parseJobsFlag("auto", errs), 0u);
+    EXPECT_EQ(parseJobsFlag("4", errs), 4u);
+    EXPECT_TRUE(errs.empty());
+    for (const char *bad : {"0", "-2", "4294967296", "two"}) {
+        SCOPED_TRACE(bad);
+        errs.clear();
+        EXPECT_FALSE(parseJobsFlag(bad, errs));
+        ASSERT_EQ(errs.size(), 1u);
+        EXPECT_NE(errs[0].find("--jobs"), std::string::npos);
+        EXPECT_NE(errs[0].find(bad), std::string::npos);
+    }
+}
+
+TEST(CliRules, FormatFlag)
+{
+    std::vector<std::string> errs;
+    EXPECT_EQ(parseFormatFlag("table", errs), ResultFormat::Table);
+    EXPECT_EQ(parseFormatFlag("csv", errs), ResultFormat::Csv);
+    EXPECT_EQ(parseFormatFlag("json", errs), ResultFormat::Json);
+    EXPECT_TRUE(errs.empty());
+    EXPECT_FALSE(parseFormatFlag("xml", errs));
+    ASSERT_EQ(errs.size(), 1u);
+    EXPECT_NE(errs[0].find("--format"), std::string::npos);
+}
+
+TEST(CliRules, SimWindowFlag)
+{
+    std::vector<std::string> errs;
+    const auto fixed = parseSimWindowFlag("5", errs);
+    ASSERT_TRUE(fixed);
+    EXPECT_EQ(fixed->window, 5u);
+    EXPECT_EQ(fixed->windowMax, 0u);
+    const auto adaptive = parseSimWindowFlag("auto", errs);
+    ASSERT_TRUE(adaptive);
+    EXPECT_EQ(adaptive->window, 0u);
+    EXPECT_EQ(adaptive->windowMax, 128u);
+    EXPECT_TRUE(errs.empty());
+    for (const char *bad : {"0", "-5", "wide", ""}) {
+        SCOPED_TRACE(bad);
+        errs.clear();
+        EXPECT_FALSE(parseSimWindowFlag(bad, errs));
+        ASSERT_EQ(errs.size(), 1u);
+        EXPECT_NE(errs[0].find("--sim-window"), std::string::npos);
+    }
+    // The window belongs to the partitioned core.
+    errs.clear();
+    checkSimWindowThreads(1, errs);
+    EXPECT_TRUE(errs.empty());
+    checkSimWindowThreads(0, errs);
+    ASSERT_EQ(errs.size(), 1u);
+    EXPECT_NE(errs[0].find("--sim-threads"), std::string::npos);
+}
+
 TEST(Cli, RejectsTickValuesPastMaxTicks)
 {
     // The window wrapped the epoch horizon ("scheduling in the

@@ -162,8 +162,8 @@ TEST(SystemGuards, FatalWhenMcTileOutsideMesh)
 
 TEST(SystemGuards, FatalOnZeroSizedStructure)
 {
-    // Each of these crashed (SIGSEGV, SIGFPE or a panic) before the
-    // System rejected it by name.
+    // Each of these crashed (SIGSEGV, SIGFPE or a panic), or hung,
+    // before the System rejected it by name.
     const std::vector<
         std::pair<const char *, std::function<void(SystemParams &)>>>
         zeroed = {
@@ -186,6 +186,16 @@ TEST(SystemGuards, FatalOnZeroSizedStructure)
              [](SystemParams &p) { p.coh.spmDirEntries = 0; }},
             {"filterDir.entriesPerSlice",
              [](SystemParams &p) { p.filterDir.entriesPerSlice = 0; }},
+            // These five ran into the deadlock guard instead.
+            {"l1d.mshrs", [](SystemParams &p) { p.l1d.mshrs = 0; }},
+            {"core.lqEntries",
+             [](SystemParams &p) { p.core.lqEntries = 0; }},
+            {"core.sqEntries",
+             [](SystemParams &p) { p.core.sqEntries = 0; }},
+            {"dmac.cmdQueueEntries",
+             [](SystemParams &p) { p.dmac.cmdQueueEntries = 0; }},
+            {"dmac.maxInflight",
+             [](SystemParams &p) { p.dmac.maxInflight = 0; }},
         };
     for (const auto &[name, zero] : zeroed) {
         SCOPED_TRACE(name);
